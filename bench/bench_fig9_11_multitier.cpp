@@ -52,7 +52,7 @@ int main() {
   // ---- Fig. 9 -------------------------------------------------------------
   std::printf("== Figure 9: avg response time per tier (ms) ==\n");
   double app1_ms = 0, app2_ms = 0, mysql_ms = 0, memc_ms = 0;
-  for (const auto& row : (*q_conn)->latest_by_key(1)) {
+  for (const auto& row : (*q_conn)->view().latest(1)) {
     const auto ip = static_cast<net::Ipv4Addr>(stream::as_u64(row.at(0)));
     const double ms = stream::as_f64(row.at(1)) / common::kMillisecond;
     std::printf("  %-16s %8.1f ms (%llu conns)\n", net::format_ipv4(ip).c_str(),
@@ -66,7 +66,7 @@ int main() {
   // ---- Fig. 11 ------------------------------------------------------------
   std::printf("\n== Figure 11: per-pair bytes (group-sum of tcp_pkt_size) ==\n");
   double app1_mysql = 0, app2_mysql = 0, app1_memc = 0, app2_memc = 0;
-  for (const auto& row : (*q_bytes)->latest_by_key(2)) {
+  for (const auto& row : (*q_bytes)->view().latest(2)) {
     const auto src = static_cast<net::Ipv4Addr>(stream::as_u64(row.at(0)));
     const auto dst = static_cast<net::Ipv4Addr>(stream::as_u64(row.at(1)));
     const double bytes = stream::as_f64(row.at(2));

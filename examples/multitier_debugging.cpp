@@ -84,7 +84,7 @@ int main() {
   engine.stop_all(now);
 
   std::printf("Fig.9 — avg response time per tier (diff-group: group=destIP)\n");
-  for (const auto& row : (*q1)->latest_by_key(1)) {
+  for (const auto& row : (*q1)->view().latest(1)) {
     const auto ip = static_cast<net::Ipv4Addr>(stream::as_u64(row.at(0)));
     std::printf("  -> %-12s %8.1f ms   (%llu connections)\n",
                 ip_name(hosts, ip).c_str(),
@@ -93,7 +93,7 @@ int main() {
   }
 
   std::printf("\nFig.11 — bytes per src->dst pair (group-sum over tcp_pkt_size)\n");
-  for (const auto& row : (*q2)->latest_by_key(2)) {
+  for (const auto& row : (*q2)->view().latest(2)) {
     const auto src = static_cast<net::Ipv4Addr>(stream::as_u64(row.at(0)));
     const auto dst = static_cast<net::Ipv4Addr>(stream::as_u64(row.at(1)));
     std::printf("  %-12s -> %-10s %10.0f bytes\n", ip_name(hosts, src).c_str(),

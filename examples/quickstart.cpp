@@ -96,7 +96,7 @@ int main() {
   //    producer/broker traffic, per-stage latency histograms — is in the
   //    engine's metrics registry, rendered Prometheus-style.
   std::printf("\nper-query metrics (excerpt):\n");
-  const std::string metrics = query->render_metrics();
+  const std::string metrics = query->render(core::RenderOptions{});
   std::size_t lines = 0, pos = 0;
   while (lines < 8 && pos < metrics.size()) {
     const auto eol = metrics.find('\n', pos);
@@ -104,7 +104,7 @@ int main() {
     pos = eol + 1;
     ++lines;
   }
-  std::printf("  ... (%zu chars total; engine.render_metrics() adds brokers)\n",
+  std::printf("  ... (%zu chars total; engine.render({}) adds brokers)\n",
               metrics.size());
   return 0;
 }

@@ -241,111 +241,4 @@ std::string DropLedger::render() const {
   return out;
 }
 
-// -------------------------------------------------------------- time series
-
-SnapshotRing::SnapshotRing(std::size_t slots) : slots_(slots == 0 ? 1 : slots) {
-  ring_.resize(slots_);
-}
-
-MetricsSnapshot SnapshotRing::delta(const MetricsSnapshot& prev,
-                                    const MetricsSnapshot& curr) {
-  MetricsSnapshot d;
-  // Names in a registry only ever grow and snapshots are name-sorted per
-  // kind, so a linear merge finds each previous value (or 0).
-  std::size_t pi = 0;
-  for (const auto& c : curr.counters) {
-    while (pi < prev.counters.size() && prev.counters[pi].name < c.name) ++pi;
-    const std::uint64_t before =
-        (pi < prev.counters.size() && prev.counters[pi].name == c.name)
-            ? prev.counters[pi].value
-            : 0;
-    if (c.value != before) d.counters.push_back({c.name, c.value - before});
-  }
-  d.gauges = curr.gauges;  // gauges are levels, kept absolute
-  pi = 0;
-  for (const auto& h : curr.histograms) {
-    while (pi < prev.histograms.size() && prev.histograms[pi].name < h.name) {
-      ++pi;
-    }
-    const bool known =
-        pi < prev.histograms.size() && prev.histograms[pi].name == h.name;
-    const std::uint64_t before = known ? prev.histograms[pi].count : 0;
-    if (h.count == before) continue;
-    MetricsSnapshot::HistogramSample s;
-    s.name = h.name;
-    s.bounds = h.bounds;
-    s.count = h.count - before;
-    s.sum = h.sum - (known ? prev.histograms[pi].sum : 0);
-    s.buckets.resize(h.buckets.size());
-    for (std::size_t b = 0; b < h.buckets.size(); ++b) {
-      s.buckets[b] =
-          h.buckets[b] - (known ? prev.histograms[pi].buckets[b] : 0);
-    }
-    d.histograms.push_back(std::move(s));
-  }
-  return d;
-}
-
-void SnapshotRing::capture(Timestamp ts, const MetricsSnapshot& cumulative) {
-  std::lock_guard lock(mutex_);
-  Entry e;
-  e.ts = ts;
-  e.delta = delta(last_, cumulative);
-  last_ = cumulative;
-  ring_[head_] = std::move(e);
-  head_ = (head_ + 1) % slots_;
-  if (count_ < slots_) ++count_;
-  ++captures_;
-}
-
-std::vector<SnapshotRing::Entry> SnapshotRing::entries() const {
-  std::lock_guard lock(mutex_);
-  std::vector<Entry> out;
-  out.reserve(count_);
-  const std::size_t first = (head_ + slots_ - count_) % slots_;
-  for (std::size_t i = 0; i < count_; ++i) {
-    out.push_back(ring_[(first + i) % slots_]);
-  }
-  return out;
-}
-
-std::size_t SnapshotRing::size() const {
-  std::lock_guard lock(mutex_);
-  return count_;
-}
-
-std::uint64_t SnapshotRing::captures() const {
-  std::lock_guard lock(mutex_);
-  return captures_;
-}
-
-std::string SnapshotRing::render() const {
-  std::string out;
-  for (const auto& e : entries()) {
-    const std::string t = "t=" + std::to_string(e.ts) + " ";
-    for (const auto& c : e.delta.counters) {
-      out += t;
-      out += c.name;
-      out += " +";
-      out += std::to_string(c.value);
-      out += '\n';
-    }
-    for (const auto& g : e.delta.gauges) {
-      out += t;
-      out += g.name;
-      out += ' ';
-      out += std::to_string(g.value);
-      out += '\n';
-    }
-    for (const auto& h : e.delta.histograms) {
-      out += t;
-      out += h.name;
-      out += "_count +";
-      out += std::to_string(h.count);
-      out += '\n';
-    }
-  }
-  return out;
-}
-
 }  // namespace netalytics::common

@@ -13,10 +13,6 @@
 //    discard site in the pipeline increments a per-cause counter in the
 //    registry ("<prefix>.<stage>.<cause>"), which is what lets
 //    engine.reconcile() prove packets_in == tuples_out + Σ(drops) exactly.
-//
-// Plus SnapshotRing: a fixed-size ring of periodic MetricsSnapshot deltas
-// (netdata-style) so benches can plot pipeline health over virtual time
-// without a metrics backend.
 #pragma once
 
 #include <atomic>
@@ -191,50 +187,6 @@ class DropLedger {
 
  private:
   Counter* counters_[kDropCauseCount];
-};
-
-/// Fixed-size ring of periodic MetricsSnapshot deltas (netdata-style
-/// windowed time series). capture() diffs the given cumulative snapshot
-/// against the previous capture and keeps only series that changed (plus
-/// every gauge, which is stored absolute), overwriting the oldest entry
-/// once `slots` are full. Deterministic: entries depend only on capture
-/// timestamps and the metric values.
-///
-/// Legacy: tsdb::TieredStore supersedes this ring for history — it keeps
-/// the same per-tick deltas in tiered storage and answers through the
-/// typed RangeQuery API instead of exposing raw entries.
-class SnapshotRing {
- public:
-  struct Entry {
-    Timestamp ts = 0;
-    MetricsSnapshot delta;
-  };
-
-  explicit SnapshotRing(std::size_t slots);
-
-  void capture(Timestamp ts, const MetricsSnapshot& cumulative);
-
-  /// Retained entries, oldest first.
-  std::vector<Entry> entries() const;
-  std::size_t size() const;
-  std::size_t slots() const noexcept { return slots_; }
-  std::uint64_t captures() const;  // total capture() calls (>= size())
-
-  /// "t=<ts> <name> <value>" lines per entry; counters/histogram counts are
-  /// per-window deltas, gauges are absolute.
-  std::string render() const;
-
- private:
-  static MetricsSnapshot delta(const MetricsSnapshot& prev,
-                               const MetricsSnapshot& curr);
-
-  std::size_t slots_;
-  mutable std::mutex mutex_;
-  std::vector<Entry> ring_;
-  std::size_t head_ = 0;   // next write position
-  std::size_t count_ = 0;  // valid entries
-  std::uint64_t captures_ = 0;
-  MetricsSnapshot last_;
 };
 
 }  // namespace netalytics::common

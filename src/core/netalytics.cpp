@@ -253,9 +253,6 @@ NetAlytics::NetAlytics(Emulation& emu, EngineConfig config)
   parsers::register_builtin_parsers();
   cluster_.bind_metrics(metrics_);  // "mq.broker<i>.*"
   cluster_.set_drop_ledger(&engine_ledger_);
-  if (config_.timeseries_slots > 0) {
-    timeseries_ = std::make_unique<common::SnapshotRing>(config_.timeseries_slots);
-  }
   queries_submitted_ = &metrics_.counter("engine.queries_submitted");
   queries_finished_ = &metrics_.counter("engine.queries_finished");
   pumps_ = &metrics_.counter("engine.pumps");
@@ -513,13 +510,11 @@ void NetAlytics::pump(common::Timestamp now) {
     if (time_up || packets_up) stop_query(q, now);
   }
 
-  // One registry snapshot per tick interval feeds both the tiered store
-  // and the deprecated SnapshotRing (first pump captures immediately).
-  if ((timeseries_ != nullptr || store_.enabled()) &&
+  // One registry snapshot per tick interval feeds the tiered store (the
+  // first pump captures immediately).
+  if (store_.enabled() &&
       (!captured_once_ || now - last_capture_ >= config_.tick_interval)) {
-    const auto snap = metrics_.snapshot();
-    if (timeseries_ != nullptr) timeseries_->capture(now, snap);
-    store_.capture(now, snap);
+    store_.capture(now, metrics_.snapshot());
     last_capture_ = now;
     captured_once_ = true;
   }

@@ -84,10 +84,6 @@ struct EngineConfig {
   /// recorder; the per-cause drop ledger is always on regardless.
   std::uint64_t trace_sample_denominator = 0;
   std::size_t trace_span_capacity = 4096;
-  /// Windowed metrics time series: keep the last N per-tick snapshot deltas
-  /// (netdata-style). 0 disables capture.
-  /// Deprecated in favour of the tiered store below; kept for one release.
-  std::size_t timeseries_slots = 0;
   /// Embedded tiered time-series store (src/tsdb/): per-tick registry
   /// snapshots and analytics emissions land in per-series hot rings and
   /// downsample into a compressed cold tier. hot_slots = 0 disables
@@ -165,7 +161,7 @@ class QueryHandle {
   /// The query's result interface: all access patterns live on the view.
   ResultView view() const noexcept { return ResultView(results_); }
 
-  // Pre-ResultView accessors, kept as thin forwarders.
+  /// Every result tuple in arrival order (what view() wraps).
   const std::vector<stream::Tuple>& results() const noexcept { return results_; }
   /// Results appended since `cursor` (a previous results().size()); the
   /// incremental drain a federation child streams from. An out-of-range
@@ -174,12 +170,6 @@ class QueryHandle {
     return cursor >= results_.size()
                ? std::span<const stream::Tuple>{}
                : std::span<const stream::Tuple>{results_}.subspan(cursor);
-  }
-  std::vector<stream::Tuple> latest_by_key(std::size_t key_fields) const {
-    return view().latest(key_fields);
-  }
-  std::string render(std::size_t key_fields, std::size_t max_rows = 50) const {
-    return view().render(key_fields, max_rows);
   }
 
   /// Historical range query scoped to this query: the selector is
@@ -215,11 +205,8 @@ class QueryHandle {
   /// Unified render entry point: Prometheus-style rendering of this
   /// query's slice of the engine registry ("q<id>." + opts.prefix —
   /// monitor counters, producer counters, processor counters, stage
-  /// histograms). Table rendering of results stays on view()/render(n).
+  /// histograms). Table rendering of results lives on view().render().
   std::string render(const RenderOptions& opts) const;
-
-  /// Pre-RenderOptions name, kept as a thin shim for one release.
-  std::string render_metrics() const { return render(RenderOptions{}); }
 
   // Export layer (src/obs/, docs/OBSERVABILITY.md). All three are pure
   // functions of deterministic inputs, so repeated calls (and stepped-mode
@@ -330,10 +317,6 @@ class NetAlytics {
   std::string render(const RenderOptions& opts) const {
     return metrics_.render_text(opts.prefix);
   }
-  /// Pre-RenderOptions name, kept as a thin shim for one release.
-  std::string render_metrics(std::string_view prefix = {}) const {
-    return render(RenderOptions{.prefix = prefix});
-  }
 
   /// Prometheus text exposition of the whole registry (optionally filtered
   /// to names starting with `prefix`), using EngineConfig::obs_export for
@@ -355,15 +338,6 @@ class NetAlytics {
   /// Engine-wide drop ledger (broker retention lands here; per-query causes
   /// land in each query's own ledger).
   const common::DropLedger& drop_ledger() const noexcept { return engine_ledger_; }
-
-  /// Windowed time series of registry deltas, captured once per tick
-  /// interval during pump(). Null unless EngineConfig::timeseries_slots > 0.
-  /// Deprecated: the raw ring exposes internal state; use query_range()
-  /// (historical reads) or timeseries_store() (stats) instead.
-  [[deprecated("use query_range()/timeseries_store()")]]
-  const common::SnapshotRing* timeseries() const noexcept {
-    return timeseries_.get();
-  }
 
   /// Automation hooks (§7.3): subsequently submitted top-k queries write
   /// rankings to `store` and drive the updater callbacks.
@@ -394,7 +368,6 @@ class NetAlytics {
   std::uint64_t next_query_id_ = 1;
   std::uint64_t next_producer_id_ = 1;
   common::Timestamp now_ = 0;
-  std::unique_ptr<common::SnapshotRing> timeseries_;
   tsdb::TieredStore store_;
   common::Timestamp last_capture_ = 0;
   bool captured_once_ = false;

@@ -1,9 +1,6 @@
 #include "stream/free_running.hpp"
 
-#include <algorithm>
 #include <chrono>
-#include <map>
-#include <stdexcept>
 
 namespace netalytics::stream {
 
@@ -14,78 +11,15 @@ constexpr std::size_t kChunk = 128;
 // Help-on-full drains less so the blocked pusher gets back to its own
 // tuple quickly once space exists.
 constexpr std::size_t kHelpChunk = 32;
-
-/// Wall-clock for the stage profiler only — virtual time never touches it.
-std::uint64_t mono_ns() noexcept {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 }  // namespace
 
 FreeRunningTopology::FreeRunningTopology(TopologySpec spec,
                                          ExecutorConfig exec)
-    : spec_(std::move(spec)), exec_(exec) {
-  if (exec_.workers == 0) exec_.workers = 1;
+    : TopologyExecutor(std::move(spec), exec) {
   if (exec_.inbox_capacity == 0) exec_.inbox_capacity = 1;
-  profile_ = exec_.profile && profiler_available();
-  std::map<std::string, std::size_t> index_of;
-  for (const auto& c : spec_.components) {
-    index_of[c.name] = nodes_.size();
-    Node& node = nodes_.emplace_back();
-    node.spec = c;
-    for (std::size_t t = 0; t < c.parallelism; ++t) {
-      Task& task = node.tasks.emplace_back(exec_.inbox_capacity);
-      if (c.is_spout()) {
-        task.spout = c.spout_factory();
-        task.spout->open();
-      } else {
-        task.bolt = c.bolt_factory();
-        task.bolt->prepare();
-      }
-    }
+  for (std::size_t t = 0; t < graph_.task_count(); ++t) {
+    slots_.emplace_back(exec_.inbox_capacity);
   }
-
-  // Wire edges source -> subscriber with resolved grouping field indices.
-  for (std::size_t dst = 0; dst < nodes_.size(); ++dst) {
-    for (const auto& sub : nodes_[dst].spec.subscriptions) {
-      const std::size_t src = index_of.at(sub.source);
-      Edge& edge = nodes_[src].out_edges.emplace_back();
-      edge.dst = dst;
-      edge.type = sub.grouping.type;
-      if (edge.type == GroupingType::fields) {
-        const auto& schema = nodes_[src].spec.output_fields;
-        for (const auto& f : sub.grouping.fields) {
-          const auto it = std::find(schema.begin(), schema.end(), f);
-          edge.field_indices.push_back(
-              static_cast<std::size_t>(it - schema.begin()));
-        }
-      }
-    }
-  }
-
-  // Topological order (spec validated acyclic by TopologyBuilder::build).
-  std::vector<std::size_t> in_degree(nodes_.size(), 0);
-  for (const auto& node : nodes_) {
-    for (const auto& e : node.out_edges) ++in_degree[e.dst];
-  }
-  std::vector<std::size_t> frontier;
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (in_degree[i] == 0) frontier.push_back(i);
-  }
-  while (!frontier.empty()) {
-    const std::size_t n = frontier.front();
-    frontier.erase(frontier.begin());
-    topo_order_.push_back(n);
-    for (const auto& e : nodes_[n].out_edges) {
-      if (--in_degree[e.dst] == 0) frontier.push_back(e.dst);
-    }
-  }
-  if (topo_order_.size() != nodes_.size()) {
-    throw std::invalid_argument("FreeRunningTopology: cyclic spec");
-  }
-
   pool_.reserve(exec_.workers - 1);
   for (std::size_t i = 0; i + 1 < exec_.workers; ++i) {
     pool_.emplace_back([this] { worker_loop(); });
@@ -103,20 +37,8 @@ FreeRunningTopology::~FreeRunningTopology() {
 
 void FreeRunningTopology::bind_metrics(common::MetricsRegistry& registry,
                                        const std::string& prefix) {
-  for (auto& node : nodes_) {
-    node.executed =
-        &registry.counter(prefix + "." + node.spec.name + ".executed");
-    if (!profile_) continue;
-    node.prof.assign(node.tasks.size(), TaskProf{});
-    for (std::size_t k = 0; k < node.tasks.size(); ++k) {
-      const std::string base = prefix + ".profiler." + node.spec.name + ".t" +
-                               std::to_string(k) + ".";
-      node.prof[k].tuples = &registry.counter(base + "tuples");
-      node.prof[k].self_ns = &registry.counter(base + "self_ns");
-      node.prof[k].queue_wait_ns = &registry.counter(base + "queue_wait_ns");
-    }
-  }
-  if (profile_) {
+  graph_.bind_metrics(registry, prefix);
+  if (graph_.profiling()) {
     prof_claims_.store(&registry.counter(prefix + ".profiler.pool.claims"),
                        std::memory_order_release);
     prof_helps_.store(&registry.counter(prefix + ".profiler.pool.helps"),
@@ -127,93 +49,68 @@ void FreeRunningTopology::bind_metrics(common::MetricsRegistry& registry,
 }
 
 void FreeRunningTopology::route(std::size_t src_component, Tuple tuple) {
-  Node& src = nodes_[src_component];
-  const std::size_t n_edges = src.out_edges.size();
-  for (std::size_t e = 0; e < n_edges; ++e) {
-    Edge& edge = src.out_edges[e];
-    Node& dst = nodes_[edge.dst];
-    const bool last_edge = (e + 1 == n_edges);
-    switch (edge.type) {
-      case GroupingType::shuffle: {
-        // fetch_add makes the cursor race-free but the task a tuple lands
-        // on is no longer reproducible — shuffle distribution is part of
-        // what the relaxed mode gives up (docs/DETERMINISM.md).
-        const std::size_t idx =
-            edge.rr_cursor.fetch_add(1, std::memory_order_relaxed) %
-            dst.tasks.size();
-        enqueue(edge.dst, idx, last_edge ? std::move(tuple) : tuple);
-        break;
-      }
-      case GroupingType::fields: {
-        const std::uint64_t h = hash_fields(tuple, edge.field_indices);
-        const std::size_t idx = h % dst.tasks.size();
-        enqueue(edge.dst, idx, last_edge ? std::move(tuple) : tuple);
-        break;
-      }
-      case GroupingType::global:
-        enqueue(edge.dst, 0, last_edge ? std::move(tuple) : tuple);
-        break;
-      case GroupingType::all:
-        for (std::size_t k = 0; k < dst.tasks.size(); ++k) {
-          enqueue(edge.dst, k, tuple);
-        }
-        break;
-    }
-  }
+  // The shared shuffle cursor makes shuffle destinations race-free but no
+  // longer reproducible — part of what the relaxed mode gives up
+  // (docs/DETERMINISM.md).
+  graph_.route<true>(src_component, std::move(tuple),
+                     [this](std::size_t t, Tuple&& routed) {
+                       enqueue(t, std::move(routed));
+                     });
 }
 
-void FreeRunningTopology::enqueue(std::size_t dst_component,
-                                  std::size_t task_index, Tuple tuple) {
-  Task& task = nodes_[dst_component].tasks[task_index];
+void FreeRunningTopology::claim_blocking(std::size_t t) {
+  while (!try_claim(slots_[t])) std::this_thread::yield();
+}
+
+void FreeRunningTopology::enqueue(std::size_t t, Tuple tuple) {
+  Slot& slot = slots_[t];
   in_flight_.fetch_add(1, std::memory_order_acq_rel);
-  while (!task.inbox.try_push_keep(tuple)) {
+  while (!slot.inbox.try_push_keep(tuple)) {
     // Full inbox: help drain the destination instead of spinning — the
     // backpressure mechanism that keeps the bounded inboxes deadlock-free
     // (progress argument in free_running.hpp).
-    if (try_claim(task)) {
-      if (profile_) {
+    if (try_claim(slot)) {
+      if (graph_.profiling()) {
         if (auto* c = prof_helps_.load(std::memory_order_acquire)) c->inc();
       }
-      execute_chunk(dst_component, task_index, kHelpChunk);
-      release_claim(task);
+      execute_chunk(t, kHelpChunk);
+      release_claim(slot);
     } else {
       std::this_thread::yield();
     }
   }
-  if (profile_ &&
-      task.pending_since_ns.load(std::memory_order_relaxed) == 0) {
-    task.pending_since_ns.store(mono_ns(), std::memory_order_relaxed);
+  if (graph_.profiling() &&
+      slot.pending_since_ns.load(std::memory_order_relaxed) == 0) {
+    slot.pending_since_ns.store(profiler_now_ns(), std::memory_order_relaxed);
   }
   wake_workers();
 }
 
-std::size_t FreeRunningTopology::execute_chunk(std::size_t component,
-                                               std::size_t task_index,
-                                               std::size_t limit) {
-  Node& node = nodes_[component];
-  Task& task = node.tasks[task_index];
-  TaskProf* prof = nullptr;
+std::size_t FreeRunningTopology::execute_chunk(std::size_t t, std::size_t limit) {
+  TaskGraph::Task& task = graph_.task(t);
+  Slot& slot = slots_[t];
+  common::Counter* executed = graph_.component(task.component).executed;
+  TaskGraph::TaskProf* prof = graph_.prof(t);
   std::uint64_t t0 = 0;
-  if (profile_ && task_index < node.prof.size()) {
-    prof = &node.prof[task_index];
-    t0 = mono_ns();
+  if (prof != nullptr) {
+    t0 = profiler_now_ns();
     const std::uint64_t pending =
-        task.pending_since_ns.exchange(0, std::memory_order_relaxed);
+        slot.pending_since_ns.exchange(0, std::memory_order_relaxed);
     if (pending != 0 && t0 > pending) {
       prof->queue_wait_ns->inc(t0 - pending);
     }
   }
-  RouteCollector out(*this, component);
+  RouteCollector out(*this, task.component);
   std::size_t done = 0;
   while (done < limit) {
-    auto tuple = task.inbox.try_pop();
+    auto tuple = slot.inbox.try_pop();
     if (!tuple) break;
     if (recorder_ != nullptr && tuple->trace != 0) {
       const common::Timestamp now = now_.load(std::memory_order_relaxed);
       recorder_->stamp(tuple->trace, common::TraceStage::execute, now, now);
     }
     task.bolt->execute(*tuple, out);
-    if (node.executed != nullptr) node.executed->inc();
+    if (executed != nullptr) executed->inc();
     executed_total_.fetch_add(1, std::memory_order_relaxed);
     // Decrement only after execute() returned: the children this tuple
     // emitted are already counted, so in_flight_ never dips to zero while
@@ -222,7 +119,7 @@ std::size_t FreeRunningTopology::execute_chunk(std::size_t component,
     ++done;
   }
   if (prof != nullptr) {
-    prof->self_ns->inc(mono_ns() - t0);
+    prof->self_ns->inc(profiler_now_ns() - t0);
     if (done != 0) prof->tuples->inc(done);
   }
   return done;
@@ -230,23 +127,23 @@ std::size_t FreeRunningTopology::execute_chunk(std::size_t component,
 
 std::size_t FreeRunningTopology::run_pass() {
   std::size_t executed = 0;
-  for (const std::size_t n : topo_order_) {
-    Node& node = nodes_[n];
-    if (node.spec.is_spout()) continue;
-    for (std::size_t t = 0; t < node.tasks.size(); ++t) {
-      Task& task = node.tasks[t];
-      if (task.inbox.size() == 0) continue;
-      if (!try_claim(task)) continue;
-      if (profile_) {
-        if (auto* c = prof_claims_.load(std::memory_order_acquire)) c->inc();
+  for (const std::size_t n : graph_.order()) {
+    const TaskGraph::Component& c = graph_.component(n);
+    if (c.spec->is_spout()) continue;
+    for (std::size_t t = c.first_task; t < c.end_task(); ++t) {
+      Slot& slot = slots_[t];
+      if (slot.inbox.size() == 0) continue;
+      if (!try_claim(slot)) continue;
+      if (graph_.profiling()) {
+        if (auto* p = prof_claims_.load(std::memory_order_acquire)) p->inc();
       }
       // Run to completion: drain until the inbox stays empty.
       std::size_t chunk;
       do {
-        chunk = execute_chunk(n, t, kChunk);
+        chunk = execute_chunk(t, kChunk);
         executed += chunk;
       } while (chunk == kChunk);
-      release_claim(task);
+      release_claim(slot);
     }
   }
   return executed;
@@ -281,7 +178,7 @@ void FreeRunningTopology::worker_loop() {
     if (run_pass() > 0) continue;
     std::unique_lock lock(park_mutex_);
     if (stop_.load(std::memory_order_relaxed)) return;
-    if (profile_) {
+    if (graph_.profiling()) {
       if (auto* c = prof_parks_.load(std::memory_order_acquire)) c->inc();
     }
     idle_workers_.fetch_add(1, std::memory_order_seq_cst);
@@ -302,19 +199,18 @@ std::size_t FreeRunningTopology::step(common::Timestamp now,
   // stepped executor: the broker poll order *is* the data assignment, and
   // group membership joins must happen in task order. Workers execute the
   // routed tuples concurrently while the spouts are still emitting.
-  for (const std::size_t n : topo_order_) {
-    Node& node = nodes_[n];
-    if (!node.spec.is_spout()) continue;
+  for (const std::size_t n : graph_.order()) {
+    const TaskGraph::Component& c = graph_.component(n);
+    if (!c.spec->is_spout()) continue;
     RouteCollector out(*this, n);
-    for (std::size_t t = 0; t < node.tasks.size(); ++t) {
-      Task& task = node.tasks[t];
-      TaskProf* prof =
-          profile_ && t < node.prof.size() ? &node.prof[t] : nullptr;
-      const std::uint64_t t0 = prof != nullptr ? mono_ns() : 0;
+    for (std::size_t t = c.first_task; t < c.end_task(); ++t) {
+      TaskGraph::TaskProf* prof = graph_.prof(t);
+      const std::uint64_t t0 = prof != nullptr ? profiler_now_ns() : 0;
+      Spout& spout = *graph_.task(t).spout;
       for (std::size_t i = 0; i < spout_budget_per_task; ++i) {
-        if (!task.spout->next_tuple(out, now)) break;
+        if (!spout.next_tuple(out, now)) break;
       }
-      if (prof != nullptr) prof->self_ns->inc(mono_ns() - t0);
+      if (prof != nullptr) prof->self_ns->inc(profiler_now_ns() - t0);
     }
   }
   // Return quiescent so every step boundary is a reconcile point —
@@ -323,31 +219,20 @@ std::size_t FreeRunningTopology::step(common::Timestamp now,
   return executed_total_.load(std::memory_order_relaxed) - before;
 }
 
-std::size_t FreeRunningTopology::run_until_idle(common::Timestamp now,
-                                                std::size_t max_rounds) {
-  std::size_t total = 0;
-  for (std::size_t round = 0; round < max_rounds; ++round) {
-    const std::size_t n = step(now);
-    total += n;
-    if (n == 0) break;
-  }
-  return total;
-}
-
 void FreeRunningTopology::tick(common::Timestamp now) {
   now_.store(now, std::memory_order_relaxed);
   quiesce();
-  for (const std::size_t n : topo_order_) {
-    Node& node = nodes_[n];
-    if (node.spec.is_spout()) continue;
-    for (auto& task : node.tasks) {
+  for (const std::size_t n : graph_.order()) {
+    const TaskGraph::Component& c = graph_.component(n);
+    if (c.spec->is_spout()) continue;
+    RouteCollector out(*this, n);
+    for (std::size_t t = c.first_task; t < c.end_task(); ++t) {
       // Claim so a straggling worker can't execute concurrently with the
       // tick; after quiesce() the inboxes are empty, so any holder is in
       // its final (empty) chunk check and releases promptly.
-      while (!try_claim(task)) std::this_thread::yield();
-      RouteCollector out(*this, n);
-      task.bolt->tick(now, out);
-      release_claim(task);
+      claim_blocking(t);
+      graph_.task(t).bolt->tick(now, out);
+      release_claim(slots_[t]);
     }
     // Drain before the next component ticks: a ranking bolt's tick must
     // observe this tick's fresh window counts, same as stepped tick().
@@ -358,17 +243,18 @@ void FreeRunningTopology::tick(common::Timestamp now) {
 void FreeRunningTopology::close(common::Timestamp now) {
   now_.store(now, std::memory_order_relaxed);
   quiesce();
-  for (const std::size_t n : topo_order_) {
-    Node& node = nodes_[n];
+  for (const std::size_t n : graph_.order()) {
+    const TaskGraph::Component& c = graph_.component(n);
     RouteCollector out(*this, n);
-    if (node.spec.is_spout()) {
-      for (auto& task : node.tasks) task.spout->close(out);
-    } else {
-      for (auto& task : node.tasks) {
-        while (!try_claim(task)) std::this_thread::yield();
-        task.bolt->cleanup(now, out);
-        release_claim(task);
+    for (std::size_t t = c.first_task; t < c.end_task(); ++t) {
+      TaskGraph::Task& task = graph_.task(t);
+      if (task.spout != nullptr) {
+        task.spout->close(out);
+        continue;
       }
+      claim_blocking(t);
+      task.bolt->cleanup(now, out);
+      release_claim(slots_[t]);
     }
     quiesce();
   }

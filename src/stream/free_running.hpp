@@ -30,29 +30,22 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
-#include "common/metrics.hpp"
 #include "common/mpmc_queue.hpp"
-#include "common/trace.hpp"
 #include "stream/executor.hpp"
-#include "stream/topology.hpp"
 
 namespace netalytics::stream {
 
 class FreeRunningTopology final : public TopologyExecutor {
  public:
-  /// Instantiates one spout/bolt per task from the spec's factories and
-  /// starts `exec.workers - 1` pool threads (the driving thread is the
-  /// remaining worker: it helps drain during step/quiesce).
+  /// Instantiates the task graph and starts `exec.workers - 1` pool
+  /// threads (the driving thread is the remaining worker: it helps drain
+  /// during step/quiesce).
   explicit FreeRunningTopology(TopologySpec spec, ExecutorConfig exec = {});
   ~FreeRunningTopology() override;
-
-  FreeRunningTopology(const FreeRunningTopology&) = delete;
-  FreeRunningTopology& operator=(const FreeRunningTopology&) = delete;
 
   /// Emit up to `spout_budget_per_task` tuples per spout task (spouts run
   /// sequentially on the driving thread: broker poll order is the data
@@ -61,9 +54,6 @@ class FreeRunningTopology final : public TopologyExecutor {
   /// executed during the call.
   std::size_t step(common::Timestamp now,
                    std::size_t spout_budget_per_task = 32) override;
-
-  std::size_t run_until_idle(common::Timestamp now,
-                             std::size_t max_rounds = 4096) override;
 
   /// Quiesce, then tick each component in topological order, quiescing
   /// again after every component so downstream windows observe fresh
@@ -78,61 +68,27 @@ class FreeRunningTopology final : public TopologyExecutor {
   std::uint64_t tuples_executed() const noexcept override {
     return executed_total_.load(std::memory_order_relaxed);
   }
-  const TopologySpec& spec() const noexcept override { return spec_; }
-  std::size_t workers() const noexcept override { return exec_.workers; }
   ExecutorMode mode() const noexcept override {
     return ExecutorMode::free_running;
   }
 
-  /// Publish per-component executed-tuple counters (and, with
-  /// ExecutorConfig::profile, the "<prefix>.profiler.*" stage-profiler
-  /// counters). Bind before stepping.
+  /// Also creates "<prefix>.profiler.pool.{claims,helps,parks}" with
+  /// ExecutorConfig::profile.
   void bind_metrics(common::MetricsRegistry& registry,
                     const std::string& prefix) override;
-  void bind_trace(common::TraceRecorder* recorder) noexcept override {
-    recorder_ = recorder;
-  }
 
  private:
-  /// One task: a spout/bolt instance plus its bounded inbox. `claimed` is
-  /// the single-claimer gate — exchange(true, acquire) to claim,
-  /// store(false, release) to hand it back, so claim hand-offs publish the
-  /// bolt's state to the next claimer.
-  struct Task {
-    explicit Task(std::size_t inbox_capacity) : inbox(inbox_capacity) {}
-    std::unique_ptr<Spout> spout;  // exactly one of spout/bolt set
-    std::unique_ptr<Bolt> bolt;
+  /// Scheduling state of one graph task: its bounded inbox and claim
+  /// flag. `claimed` is the single-claimer gate — exchange(true, acquire)
+  /// to claim, store(false, release) to hand it back, so claim hand-offs
+  /// publish the bolt's state to the next claimer.
+  struct Slot {
+    explicit Slot(std::size_t inbox_capacity) : inbox(inbox_capacity) {}
     common::MpmcQueue<Tuple> inbox;
     std::atomic<bool> claimed{false};
     // Stage profiler: wall-clock instant the inbox last went empty ->
     // nonempty; the next chunk's start minus this is the queue-wait.
     std::atomic<std::uint64_t> pending_since_ns{0};
-  };
-
-  struct Edge {
-    std::size_t dst = 0;  // component index
-    GroupingType type = GroupingType::shuffle;
-    std::vector<std::size_t> field_indices;
-    std::atomic<std::size_t> rr_cursor{0};  // shuffle round-robin
-  };
-
-  // std::deque because Task and Edge hold non-movable members (queues,
-  // atomics) — deque never relocates elements.
-  /// Stage-profiler counters of one task (set by bind_metrics when
-  /// ExecutorConfig::profile is on). Wall-clock values: excluded from the
-  /// deterministic render contract (docs/DETERMINISM.md).
-  struct TaskProf {
-    common::Counter* tuples = nullptr;
-    common::Counter* self_ns = nullptr;
-    common::Counter* queue_wait_ns = nullptr;
-  };
-
-  struct Node {
-    ComponentSpec spec;
-    std::deque<Task> tasks;
-    std::deque<Edge> out_edges;
-    common::Counter* executed = nullptr;  // null until bind_metrics
-    std::vector<TaskProf> prof;           // empty unless profiling
   };
 
   /// Routes immediately from whichever thread is executing — the
@@ -148,20 +104,20 @@ class FreeRunningTopology final : public TopologyExecutor {
     std::size_t src_;
   };
 
-  static bool try_claim(Task& task) noexcept {
-    return !task.claimed.exchange(true, std::memory_order_acquire);
+  static bool try_claim(Slot& slot) noexcept {
+    return !slot.claimed.exchange(true, std::memory_order_acquire);
   }
-  static void release_claim(Task& task) noexcept {
-    task.claimed.store(false, std::memory_order_release);
+  static void release_claim(Slot& slot) noexcept {
+    slot.claimed.store(false, std::memory_order_release);
   }
+  /// Claim graph task `t`, spinning while a straggling worker holds it.
+  void claim_blocking(std::size_t t);
 
   void route(std::size_t src_component, Tuple tuple);
-  void enqueue(std::size_t dst_component, std::size_t task_index, Tuple tuple);
-  /// Execute up to `limit` inbox tuples of a claimed task. Returns the
-  /// number executed. Tasks are addressed by index (Node::tasks is a
-  /// deque, so no pointer arithmetic) — the profiler keys off it.
-  std::size_t execute_chunk(std::size_t component, std::size_t task_index,
-                            std::size_t limit);
+  void enqueue(std::size_t t, Tuple tuple);
+  /// Execute up to `limit` inbox tuples of claimed graph task `t`. Returns
+  /// the number executed.
+  std::size_t execute_chunk(std::size_t t, std::size_t limit);
   /// One work-finding pass over every bolt task (claim, run to completion,
   /// release). Returns the number of tuples executed.
   std::size_t run_pass();
@@ -170,11 +126,9 @@ class FreeRunningTopology final : public TopologyExecutor {
   void wake_workers();
   void worker_loop();
 
-  TopologySpec spec_;
-  ExecutorConfig exec_;
-  std::deque<Node> nodes_;
-  std::vector<std::size_t> topo_order_;
-  common::TraceRecorder* recorder_ = nullptr;
+  // std::deque because Slot holds non-movable members (queue, atomics) —
+  // deque never relocates elements. Indexed like the graph's tasks.
+  std::deque<Slot> slots_;
 
   /// Tuples enqueued but not yet executed. Incremented before the inbox
   /// push; decremented only after the bolt's execute() returns, so a
@@ -199,10 +153,9 @@ class FreeRunningTopology final : public TopologyExecutor {
   std::atomic<std::size_t> idle_workers_{0};
   std::atomic<bool> stop_{false};
 
-  // Stage profiler (ExecutorConfig::profile && profiler_available()).
-  // Pool counters are atomic pointers because workers run (and may park)
-  // from construction, before bind_metrics installs the counters.
-  bool profile_ = false;
+  // Stage profiler (graph_.profiling()). Pool counters are atomic
+  // pointers because workers run (and may park) from construction, before
+  // bind_metrics installs the counters.
   std::atomic<common::Counter*> prof_claims_{nullptr};
   std::atomic<common::Counter*> prof_helps_{nullptr};
   std::atomic<common::Counter*> prof_parks_{nullptr};

@@ -1,85 +1,9 @@
 #include "stream/stepped.hpp"
 
-#include <algorithm>
-#include <chrono>
-#include <map>
-#include <stdexcept>
-
 namespace netalytics::stream {
 
-namespace {
-/// Wall-clock for the stage profiler only — virtual time never touches it.
-std::uint64_t mono_ns() noexcept {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-}  // namespace
-
 SteppedTopology::SteppedTopology(TopologySpec spec, ExecutorConfig exec)
-    : spec_(std::move(spec)), exec_(exec) {
-  if (exec_.workers == 0) exec_.workers = 1;
-  profile_ = exec_.profile && profiler_available();
-  std::map<std::string, std::size_t> index_of;
-  nodes_.reserve(spec_.components.size());
-  for (const auto& c : spec_.components) {
-    index_of[c.name] = nodes_.size();
-    Node node;
-    node.spec = c;
-    node.tasks.resize(c.parallelism);
-    for (auto& task : node.tasks) {
-      if (c.is_spout()) {
-        task.spout = c.spout_factory();
-        task.spout->open();
-      } else {
-        task.bolt = c.bolt_factory();
-        task.bolt->prepare();
-      }
-    }
-    nodes_.push_back(std::move(node));
-  }
-
-  // Wire edges source -> subscriber with resolved grouping field indices.
-  for (std::size_t dst = 0; dst < nodes_.size(); ++dst) {
-    for (const auto& sub : nodes_[dst].spec.subscriptions) {
-      const std::size_t src = index_of.at(sub.source);
-      Edge edge;
-      edge.dst = dst;
-      edge.type = sub.grouping.type;
-      if (edge.type == GroupingType::fields) {
-        const auto& schema = nodes_[src].spec.output_fields;
-        for (const auto& f : sub.grouping.fields) {
-          const auto it = std::find(schema.begin(), schema.end(), f);
-          edge.field_indices.push_back(
-              static_cast<std::size_t>(it - schema.begin()));
-        }
-      }
-      nodes_[src].out_edges.push_back(std::move(edge));
-    }
-  }
-
-  // Topological order (spec validated acyclic by TopologyBuilder::build).
-  std::vector<std::size_t> in_degree(nodes_.size(), 0);
-  for (const auto& node : nodes_) {
-    for (const auto& e : node.out_edges) ++in_degree[e.dst];
-  }
-  std::vector<std::size_t> frontier;
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (in_degree[i] == 0) frontier.push_back(i);
-  }
-  while (!frontier.empty()) {
-    const std::size_t n = frontier.front();
-    frontier.erase(frontier.begin());
-    topo_order_.push_back(n);
-    for (const auto& e : nodes_[n].out_edges) {
-      if (--in_degree[e.dst] == 0) frontier.push_back(e.dst);
-    }
-  }
-  if (topo_order_.size() != nodes_.size()) {
-    throw std::invalid_argument("SteppedTopology: cyclic spec");
-  }
-}
+    : TopologyExecutor(std::move(spec), exec), slots_(graph_.task_count()) {}
 
 SteppedTopology::~SteppedTopology() {
   {
@@ -90,62 +14,37 @@ SteppedTopology::~SteppedTopology() {
   for (auto& t : pool_) t.join();
 }
 
-void SteppedTopology::route(std::size_t src_component, Tuple tuple) {
-  Node& src = nodes_[src_component];
-  for (std::size_t e = 0; e < src.out_edges.size(); ++e) {
-    Edge& edge = src.out_edges[e];
-    Node& dst = nodes_[edge.dst];
-    const bool last_edge = (e + 1 == src.out_edges.size());
-    switch (edge.type) {
-      case GroupingType::shuffle: {
-        const std::size_t idx = edge.rr_cursor++ % dst.tasks.size();
-        dst.tasks[idx].inbox.push_back(last_edge ? std::move(tuple) : tuple);
-        break;
-      }
-      case GroupingType::fields: {
-        const std::uint64_t h = hash_fields(tuple, edge.field_indices);
-        const std::size_t idx = h % dst.tasks.size();
-        dst.tasks[idx].inbox.push_back(last_edge ? std::move(tuple) : tuple);
-        break;
-      }
-      case GroupingType::global:
-        dst.tasks[0].inbox.push_back(last_edge ? std::move(tuple) : tuple);
-        break;
-      case GroupingType::all:
-        for (auto& task : dst.tasks) task.inbox.push_back(tuple);
-        break;
-    }
-  }
-}
-
-void SteppedTopology::exec_task(Node& node, Task& task, StageKind kind,
+void SteppedTopology::exec_task(std::size_t t, StageKind kind,
                                 common::Timestamp now) {
-  TaskProf* prof = nullptr;
+  TaskGraph::Task& task = graph_.task(t);
+  Slot& slot = slots_[t];
+  TaskGraph::TaskProf* prof = graph_.prof(t);
   std::uint64_t t0 = 0;
-  if (profile_ && !node.prof.empty()) {
-    prof = &node.prof[static_cast<std::size_t>(&task - node.tasks.data())];
-    t0 = mono_ns();
+  if (prof != nullptr) {
+    t0 = profiler_now_ns();
     const std::uint64_t dispatched =
         prof_stage_start_ns_.load(std::memory_order_relaxed);
     if (dispatched != 0 && t0 > dispatched) {
       prof->queue_wait_ns->inc(t0 - dispatched);
     }
   }
-  OutboxCollector out(task.outbox);
+  OutboxCollector out(slot.outbox);
   switch (kind) {
-    case StageKind::execute:
-      while (!task.inbox.empty()) {
-        Tuple tuple = std::move(task.inbox.front());
-        task.inbox.pop_front();
+    case StageKind::execute: {
+      common::Counter* executed = graph_.component(task.component).executed;
+      while (!slot.inbox.empty()) {
+        Tuple tuple = std::move(slot.inbox.front());
+        slot.inbox.pop_front();
         if (recorder_ != nullptr && tuple.trace != 0) {
           recorder_->stamp(tuple.trace, common::TraceStage::execute, now, now);
         }
         task.bolt->execute(tuple, out);
-        ++task.processed;
-        if (node.executed != nullptr) node.executed->inc();
+        ++slot.processed;
+        if (executed != nullptr) executed->inc();
         if (prof != nullptr) prof->tuples->inc();
       }
       break;
+    }
     case StageKind::tick:
       task.bolt->tick(now, out);
       break;
@@ -153,17 +52,23 @@ void SteppedTopology::exec_task(Node& node, Task& task, StageKind kind,
       task.bolt->cleanup(now, out);
       break;
   }
-  if (prof != nullptr) prof->self_ns->inc(mono_ns() - t0);
+  if (prof != nullptr) prof->self_ns->inc(profiler_now_ns() - t0);
 }
 
 std::size_t SteppedTopology::merge_stage(std::size_t component) {
-  Node& node = nodes_[component];
+  const TaskGraph::Component& c = graph_.component(component);
   std::size_t processed = 0;
-  for (auto& task : node.tasks) {
-    processed += task.processed;
-    task.processed = 0;
-    for (auto& tuple : task.outbox) route(component, std::move(tuple));
-    task.outbox.clear();
+  for (std::size_t t = c.first_task; t < c.end_task(); ++t) {
+    Slot& slot = slots_[t];
+    processed += slot.processed;
+    slot.processed = 0;
+    for (auto& tuple : slot.outbox) {
+      graph_.route<false>(component, std::move(tuple),
+                          [this](std::size_t dst, Tuple&& routed) {
+                            slots_[dst].inbox.push_back(std::move(routed));
+                          });
+    }
+    slot.outbox.clear();
   }
   return processed;
 }
@@ -176,19 +81,20 @@ void SteppedTopology::start_workers() {
   }
 }
 
-void SteppedTopology::claim_loop(Node& node, StageKind kind,
+void SteppedTopology::claim_loop(std::size_t component, StageKind kind,
                                  common::Timestamp now,
                                  std::uint64_t generation) {
+  const TaskGraph::Component& c = graph_.component(component);
   for (;;) {
     std::size_t t;
     {
       std::lock_guard lock(pool_mutex_);
       // Claims and the generation check share the pool mutex, so a thread
       // that slept through a stage can never claim into the next one.
-      if (generation_ != generation || next_task_ >= node.tasks.size()) return;
+      if (generation_ != generation || next_task_ >= c.end_task()) return;
       t = next_task_++;
     }
-    exec_task(node, node.tasks[t], kind, now);
+    exec_task(t, kind, now);
     {
       std::lock_guard lock(pool_mutex_);
       if (--tasks_remaining_ == 0) done_cv_.notify_all();
@@ -199,7 +105,7 @@ void SteppedTopology::claim_loop(Node& node, StageKind kind,
 void SteppedTopology::worker_loop() {
   std::uint64_t seen = 0;
   for (;;) {
-    Node* node = nullptr;
+    std::size_t component = 0;
     StageKind kind = StageKind::execute;
     common::Timestamp now = 0;
     std::uint64_t generation = 0;
@@ -208,51 +114,49 @@ void SteppedTopology::worker_loop() {
       pool_cv_.wait(lock, [&] { return stop_workers_ || generation_ != seen; });
       if (stop_workers_) return;
       generation = seen = generation_;
-      node = stage_node_;
+      component = stage_component_;
       kind = stage_kind_;
       now = stage_now_;
     }
-    claim_loop(*node, kind, now, generation);
+    claim_loop(component, kind, now, generation);
   }
 }
 
-void SteppedTopology::run_bolt_stage(Node& node, StageKind kind,
+void SteppedTopology::run_bolt_stage(std::size_t component, StageKind kind,
                                      common::Timestamp now) {
-  if (profile_) {
-    prof_stage_start_ns_.store(mono_ns(), std::memory_order_relaxed);
+  const TaskGraph::Component& c = graph_.component(component);
+  if (graph_.profiling()) {
+    prof_stage_start_ns_.store(profiler_now_ns(), std::memory_order_relaxed);
     if (prof_stage_dispatches_ != nullptr) prof_stage_dispatches_->inc();
   }
-  if (exec_.workers <= 1 || node.tasks.size() <= 1) {
-    for (auto& task : node.tasks) exec_task(node, task, kind, now);
+  if (exec_.workers <= 1 || c.spec->parallelism <= 1) {
+    for (std::size_t t = c.first_task; t < c.end_task(); ++t) exec_task(t, kind, now);
     return;
   }
-  if (profile_ && prof_parallel_stages_ != nullptr) {
-    prof_parallel_stages_->inc();
-  }
+  if (prof_parallel_stages_ != nullptr) prof_parallel_stages_->inc();
   start_workers();
   std::uint64_t generation;
   {
     std::lock_guard lock(pool_mutex_);
-    stage_node_ = &node;
+    stage_component_ = component;
     stage_kind_ = kind;
     stage_now_ = now;
-    next_task_ = 0;
-    tasks_remaining_ = node.tasks.size();
+    next_task_ = c.first_task;
+    tasks_remaining_ = c.spec->parallelism;
     generation = ++generation_;
   }
   pool_cv_.notify_all();
   // The stepping thread is one of the `workers` execution threads.
-  claim_loop(node, kind, now, generation);
+  claim_loop(component, kind, now, generation);
   std::unique_lock lock(pool_mutex_);
   done_cv_.wait(lock, [this] { return tasks_remaining_ == 0; });
 }
 
 std::size_t SteppedTopology::drain(common::Timestamp now) {
   std::size_t processed = 0;
-  for (const std::size_t n : topo_order_) {
-    Node& node = nodes_[n];
-    if (node.spec.is_spout()) continue;
-    run_bolt_stage(node, StageKind::execute, now);
+  for (const std::size_t n : graph_.order()) {
+    if (graph_.component(n).spec->is_spout()) continue;
+    run_bolt_stage(n, StageKind::execute, now);
     processed += merge_stage(n);
   }
   executed_ += processed;
@@ -261,19 +165,8 @@ std::size_t SteppedTopology::drain(common::Timestamp now) {
 
 void SteppedTopology::bind_metrics(common::MetricsRegistry& registry,
                                    const std::string& prefix) {
-  for (auto& node : nodes_) {
-    node.executed = &registry.counter(prefix + "." + node.spec.name + ".executed");
-    if (!profile_) continue;
-    node.prof.assign(node.tasks.size(), TaskProf{});
-    for (std::size_t k = 0; k < node.tasks.size(); ++k) {
-      const std::string base = prefix + ".profiler." + node.spec.name + ".t" +
-                               std::to_string(k) + ".";
-      node.prof[k].tuples = &registry.counter(base + "tuples");
-      node.prof[k].self_ns = &registry.counter(base + "self_ns");
-      node.prof[k].queue_wait_ns = &registry.counter(base + "queue_wait_ns");
-    }
-  }
-  if (profile_) {
+  graph_.bind_metrics(registry, prefix);
+  if (graph_.profiling()) {
     prof_stage_dispatches_ =
         &registry.counter(prefix + ".profiler.pool.stage_dispatches");
     prof_parallel_stages_ =
@@ -287,42 +180,28 @@ std::size_t SteppedTopology::step(common::Timestamp now,
   // sources (the mq brokers), where the poll order *is* the data
   // assignment — racing them would trade determinism for nothing, since
   // spout work is a budgeted trickle compared to the bolt stages.
-  for (const std::size_t n : topo_order_) {
-    Node& node = nodes_[n];
-    if (!node.spec.is_spout()) continue;
-    for (auto& task : node.tasks) {
-      TaskProf* prof =
-          profile_ && !node.prof.empty()
-              ? &node.prof[static_cast<std::size_t>(&task - node.tasks.data())]
-              : nullptr;
-      const std::uint64_t t0 = prof != nullptr ? mono_ns() : 0;
-      OutboxCollector collector(task.outbox);
+  for (const std::size_t n : graph_.order()) {
+    const TaskGraph::Component& c = graph_.component(n);
+    if (!c.spec->is_spout()) continue;
+    for (std::size_t t = c.first_task; t < c.end_task(); ++t) {
+      TaskGraph::TaskProf* prof = graph_.prof(t);
+      const std::uint64_t t0 = prof != nullptr ? profiler_now_ns() : 0;
+      OutboxCollector collector(slots_[t].outbox);
+      Spout& spout = *graph_.task(t).spout;
       for (std::size_t i = 0; i < spout_budget_per_task; ++i) {
-        if (!task.spout->next_tuple(collector, now)) break;
+        if (!spout.next_tuple(collector, now)) break;
       }
-      if (prof != nullptr) prof->self_ns->inc(mono_ns() - t0);
+      if (prof != nullptr) prof->self_ns->inc(profiler_now_ns() - t0);
     }
     merge_stage(n);
   }
   return drain(now);
 }
 
-std::size_t SteppedTopology::run_until_idle(common::Timestamp now,
-                                            std::size_t max_rounds) {
-  std::size_t total = 0;
-  for (std::size_t round = 0; round < max_rounds; ++round) {
-    const std::size_t n = step(now);
-    total += n;
-    if (n == 0) break;
-  }
-  return total;
-}
-
 void SteppedTopology::tick(common::Timestamp now) {
-  for (const std::size_t n : topo_order_) {
-    Node& node = nodes_[n];
-    if (node.spec.is_spout()) continue;
-    run_bolt_stage(node, StageKind::tick, now);
+  for (const std::size_t n : graph_.order()) {
+    if (graph_.component(n).spec->is_spout()) continue;
+    run_bolt_stage(n, StageKind::tick, now);
     merge_stage(n);
     // Drain immediately so downstream bolts see window emissions in the
     // same tick (a ranking bolt's tick must observe fresh counts).
@@ -331,15 +210,15 @@ void SteppedTopology::tick(common::Timestamp now) {
 }
 
 void SteppedTopology::close(common::Timestamp now) {
-  for (const std::size_t n : topo_order_) {
-    Node& node = nodes_[n];
-    if (node.spec.is_spout()) {
-      for (auto& task : node.tasks) {
-        OutboxCollector collector(task.outbox);
-        task.spout->close(collector);
+  for (const std::size_t n : graph_.order()) {
+    const TaskGraph::Component& c = graph_.component(n);
+    if (c.spec->is_spout()) {
+      for (std::size_t t = c.first_task; t < c.end_task(); ++t) {
+        OutboxCollector collector(slots_[t].outbox);
+        graph_.task(t).spout->close(collector);
       }
     } else {
-      run_bolt_stage(node, StageKind::cleanup, now);
+      run_bolt_stage(n, StageKind::cleanup, now);
     }
     merge_stage(n);
     drain(now);

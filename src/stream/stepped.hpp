@@ -7,48 +7,36 @@
 // grouping destinations, same window/tick ordering (the contract is
 // documented in docs/DETERMINISM.md and proven differentially in
 // tests/core/parallel_executor_differential_test.cpp). Used by the
-// simulated use-case pipelines, the figure benches, and the tests; the
-// threaded LocalCluster (local_cluster.hpp) runs the same TopologySpec
-// free-running, without the deterministic contract.
+// simulated use-case pipelines, the figure benches, and the tests;
+// FreeRunningTopology (free_running.hpp) schedules the same TaskGraph
+// without stage barriers.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
-#include "common/metrics.hpp"
-#include "common/trace.hpp"
 #include "stream/executor.hpp"
-#include "stream/topology.hpp"
 
 namespace netalytics::stream {
 
 class SteppedTopology final : public TopologyExecutor {
  public:
-  /// Instantiates one spout/bolt per task from the spec's factories.
-  /// `exec.workers` > 1 enables the stage-parallel execution mode; pool
-  /// threads are started lazily on the first parallel stage.
+  /// Instantiates the task graph. `exec.workers` > 1 enables the
+  /// stage-parallel execution mode; pool threads are started lazily on
+  /// the first parallel stage.
   explicit SteppedTopology(TopologySpec spec, ExecutorConfig exec = {});
   ~SteppedTopology() override;
-
-  SteppedTopology(const SteppedTopology&) = delete;
-  SteppedTopology& operator=(const SteppedTopology&) = delete;
 
   /// One scheduling round: every spout task may emit up to
   /// `spout_budget_per_task` tuples, then all inboxes drain through the
   /// bolts in topological order. Returns the number of tuples executed.
   std::size_t step(common::Timestamp now,
                    std::size_t spout_budget_per_task = 32) override;
-
-  /// Step until the spouts report idle and all inboxes are empty, or until
-  /// `max_rounds` is hit. Returns tuples executed.
-  std::size_t run_until_idle(common::Timestamp now,
-                             std::size_t max_rounds = 4096) override;
 
   /// Deliver a tick to every bolt (rolling windows advance, rankings emit)
   /// and drain the results. Stage-ordered: a component's tick runs only
@@ -60,59 +48,21 @@ class SteppedTopology final : public TopologyExecutor {
   void close(common::Timestamp now) override;
 
   std::uint64_t tuples_executed() const noexcept override { return executed_; }
-  const TopologySpec& spec() const noexcept override { return spec_; }
-  /// Total execution threads a bolt stage may use (1 = inline).
-  std::size_t workers() const noexcept override { return exec_.workers; }
   ExecutorMode mode() const noexcept override { return ExecutorMode::stepped; }
 
-  /// Publish per-component executed-tuple counters into `registry` as
-  /// "<prefix>.<component>.executed". With ExecutorConfig::profile also
-  /// creates the stage-profiler counters
-  /// ("<prefix>.profiler.<component>.t<k>.{tuples,self_ns,queue_wait_ns}"
-  /// plus "<prefix>.profiler.pool.*"). Bind before stepping.
+  /// Also creates "<prefix>.profiler.pool.{stage_dispatches,parallel_stages}"
+  /// with ExecutorConfig::profile.
   void bind_metrics(common::MetricsRegistry& registry,
                     const std::string& prefix) override;
 
-  /// Stamp a TraceStage::execute span for every executed tuple whose
-  /// `Tuple::trace` is nonzero. Bind before stepping; pass nullptr to
-  /// disable (the default).
-  void bind_trace(common::TraceRecorder* recorder) noexcept override {
-    recorder_ = recorder;
-  }
-
  private:
-  struct Task {
-    std::unique_ptr<Spout> spout;  // exactly one of spout/bolt set
-    std::unique_ptr<Bolt> bolt;
+  /// Scheduling state of one graph task.
+  struct Slot {
     std::deque<Tuple> inbox;
     // Emissions buffered during a stage, routed at the barrier in task
     // order — the mechanism that makes parallel execution deterministic.
     std::vector<Tuple> outbox;
     std::size_t processed = 0;  // tuples executed this stage
-  };
-
-  struct Edge {
-    std::size_t dst = 0;  // component index
-    GroupingType type = GroupingType::shuffle;
-    std::vector<std::size_t> field_indices;
-    std::size_t rr_cursor = 0;  // shuffle round-robin
-  };
-
-  /// Stage-profiler counters of one task (null until bind_metrics with
-  /// ExecutorConfig::profile). Wall-clock values: never part of the
-  /// deterministic render contract (docs/DETERMINISM.md).
-  struct TaskProf {
-    common::Counter* tuples = nullptr;
-    common::Counter* self_ns = nullptr;
-    common::Counter* queue_wait_ns = nullptr;
-  };
-
-  struct Node {
-    ComponentSpec spec;
-    std::vector<Task> tasks;
-    std::vector<Edge> out_edges;
-    common::Counter* executed = nullptr;  // null until bind_metrics
-    std::vector<TaskProf> prof;           // empty unless profiling
   };
 
   /// Collector handed to components: appends to the executing task's
@@ -128,31 +78,26 @@ class SteppedTopology final : public TopologyExecutor {
 
   enum class StageKind { execute, tick, cleanup };
 
-  void route(std::size_t src_component, Tuple tuple);
   std::size_t drain(common::Timestamp now);
-  /// Run one bolt stage (all tasks of `node`), inline or on the pool.
-  void run_bolt_stage(Node& node, StageKind kind, common::Timestamp now);
-  /// Execute one task of the current stage (worker or stepping thread).
-  void exec_task(Node& node, Task& task, StageKind kind, common::Timestamp now);
+  /// Run one bolt stage (all tasks of `component`), inline or on the pool.
+  void run_bolt_stage(std::size_t component, StageKind kind, common::Timestamp now);
+  /// Execute graph task `t` for the current stage (worker or stepping
+  /// thread).
+  void exec_task(std::size_t t, StageKind kind, common::Timestamp now);
   /// Route every task's outbox in task-index order (the stage barrier's
   /// deterministic merge). Returns the tuples processed this stage.
   std::size_t merge_stage(std::size_t component);
-  void claim_loop(Node& node, StageKind kind, common::Timestamp now,
+  void claim_loop(std::size_t component, StageKind kind, common::Timestamp now,
                   std::uint64_t generation);
   void start_workers();
   void worker_loop();
 
-  TopologySpec spec_;
-  ExecutorConfig exec_;
-  std::vector<Node> nodes_;
-  std::vector<std::size_t> topo_order_;
+  std::vector<Slot> slots_;  // indexed like the graph's tasks
   std::uint64_t executed_ = 0;
-  common::TraceRecorder* recorder_ = nullptr;
 
-  // Stage profiler (ExecutorConfig::profile && profiler_available()).
-  // prof_stage_start_ns_ is the wall-clock instant the current stage was
-  // dispatched; each task's queue-wait is its start minus that instant.
-  bool profile_ = false;
+  // Stage profiler (graph_.profiling()). prof_stage_start_ns_ is the
+  // wall-clock instant the current stage was dispatched; each task's
+  // queue-wait is its start minus that instant.
   common::Counter* prof_stage_dispatches_ = nullptr;
   common::Counter* prof_parallel_stages_ = nullptr;
   std::atomic<std::uint64_t> prof_stage_start_ns_{0};
@@ -166,7 +111,7 @@ class SteppedTopology final : public TopologyExecutor {
   std::condition_variable pool_cv_;  // workers wait for a new generation
   std::condition_variable done_cv_;  // stepping thread waits for completion
   std::uint64_t generation_ = 0;
-  Node* stage_node_ = nullptr;
+  std::size_t stage_component_ = 0;
   StageKind stage_kind_ = StageKind::execute;
   common::Timestamp stage_now_ = 0;
   std::size_t next_task_ = 0;

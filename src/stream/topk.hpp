@@ -81,6 +81,13 @@ class CountingBolt final : public Bolt {
 
 /// Local top-k over [key, count] updates; emits its rankings on tick as
 /// [key:str, count:u64] rows (the parallel-reduction step of §5.3).
+///
+/// Both rankers rank only the latest refresh: CountingBolt re-emits every
+/// key still in its window on each tick, and each ranker re-emits its
+/// whole top-k, so a key that aged out of the window (or out of a local
+/// top-k) is absent from the next refresh and is pruned before the
+/// ranking is emitted. Kept, it would stay ranked with its last count
+/// until k other keys pushed it out.
 class IntermediateRankingsBolt final : public Bolt {
  public:
   explicit IntermediateRankingsBolt(std::size_t k) : rankings_(k) {}
@@ -94,31 +101,24 @@ class IntermediateRankingsBolt final : public Bolt {
     }
   }
   void tick(common::Timestamp, Collector& out) override {
+    rankings_.prune_zero_counts();
     for (const auto& e : rankings_.entries()) {
       const auto it = trace_of_.find(e.key);
       out.emit(Tuple{{e.key, std::uint64_t{e.count}},
                      it != trace_of_.end() ? it->second : 0});
     }
-    prune_traces();
+    rankings_.zero_counts();
+    trace_of_.clear();
   }
 
  private:
-  /// Keep trace ids only for keys still ranked, so the map stays O(k).
-  void prune_traces() {
-    std::map<std::string, std::uint64_t> live;
-    for (const auto& e : rankings_.entries()) {
-      const auto it = trace_of_.find(e.key);
-      if (it != trace_of_.end()) live.emplace(e.key, it->second);
-    }
-    trace_of_ = std::move(live);
-  }
-
   Rankings rankings_;
   std::map<std::string, std::uint64_t> trace_of_;  // key -> max sampled trace
 };
 
 /// Global top-k (global-grouped): merges local rankings and emits the final
-/// ordered list on tick as [rank:u64, key:str, count:u64].
+/// ordered list on tick as [rank:u64, key:str, count:u64]. Rebuilt from
+/// each tick's local rankings, like IntermediateRankingsBolt.
 class TotalRankingsBolt final : public Bolt {
  public:
   explicit TotalRankingsBolt(std::size_t k) : rankings_(k) {}
@@ -132,18 +132,15 @@ class TotalRankingsBolt final : public Bolt {
     }
   }
   void tick(common::Timestamp, Collector& out) override {
+    rankings_.prune_zero_counts();
     std::uint64_t rank = 1;
     for (const auto& e : rankings_.entries()) {
       const auto it = trace_of_.find(e.key);
       out.emit(Tuple{{std::uint64_t{rank++}, e.key, std::uint64_t{e.count}},
                      it != trace_of_.end() ? it->second : 0});
     }
-    std::map<std::string, std::uint64_t> live;
-    for (const auto& e : rankings_.entries()) {
-      const auto it = trace_of_.find(e.key);
-      if (it != trace_of_.end()) live.emplace(e.key, it->second);
-    }
-    trace_of_ = std::move(live);
+    rankings_.zero_counts();
+    trace_of_.clear();
   }
 
  private:

@@ -1,9 +1,10 @@
 #include "stream/topology.hpp"
 
 #include <algorithm>
-#include <map>
 #include <set>
 #include <stdexcept>
+
+#include "stream/task_graph.hpp"
 
 namespace netalytics::stream {
 
@@ -111,33 +112,7 @@ TopologySpec TopologyBuilder::build() {
     }
   }
 
-  // Cycle check: Kahn's algorithm over subscription edges.
-  std::map<std::string, std::size_t> in_degree;
-  std::map<std::string, std::vector<std::string>> downstream;
-  for (const auto& c : spec_.components) in_degree[c.name] = 0;
-  for (const auto& c : spec_.components) {
-    for (const auto& sub : c.subscriptions) {
-      downstream[sub.source].push_back(c.name);
-      ++in_degree[c.name];
-    }
-  }
-  std::vector<std::string> frontier;
-  for (const auto& [name, deg] : in_degree) {
-    if (deg == 0) frontier.push_back(name);
-  }
-  std::size_t visited = 0;
-  while (!frontier.empty()) {
-    const std::string node = frontier.back();
-    frontier.pop_back();
-    ++visited;
-    for (const auto& next : downstream[node]) {
-      if (--in_degree[next] == 0) frontier.push_back(next);
-    }
-  }
-  if (visited != spec_.components.size()) {
-    throw std::invalid_argument("topology: subscription graph has a cycle");
-  }
-
+  topological_order(spec_);  // throws on a cycle
   return spec_;
 }
 

@@ -25,8 +25,8 @@ class Collector {
 
 /// A data source. next_tuple() returns false when nothing is available
 /// right now (the executor will retry later). `now` is the executor's
-/// current time (virtual in SteppedTopology, wall in LocalCluster) so
-/// sources can measure residency of the data they pull.
+/// current virtual time, so sources can measure residency of the data
+/// they pull.
 class Spout {
  public:
   virtual ~Spout() = default;
@@ -117,8 +117,8 @@ struct ComponentSpec {
   bool is_spout() const noexcept { return static_cast<bool>(spout_factory); }
 };
 
-/// A validated, executor-agnostic topology: both SteppedTopology and
-/// LocalCluster instantiate their tasks from the same spec.
+/// A validated, executor-agnostic topology: both executors instantiate
+/// their tasks from the same spec through one TaskGraph (task_graph.hpp).
 struct TopologySpec {
   std::string name;
   std::vector<ComponentSpec> components;

@@ -45,6 +45,10 @@ void Rankings::update(const std::string& key, std::uint64_t count) {
                                [&](const Entry& e) { return e.key == key; });
   if (it != entries_.end()) {
     it->count = count;
+  } else if (entries_.size() == k_ &&
+             (count < entries_.back().count ||
+              (count == entries_.back().count && key > entries_.back().key))) {
+    return;  // would rank below the k-th entry and be trimmed at once
   } else {
     entries_.push_back({key, count});
   }
@@ -53,6 +57,18 @@ void Rankings::update(const std::string& key, std::uint64_t count) {
 
 void Rankings::merge(const Rankings& other) {
   for (const auto& e : other.entries_) update(e.key, e.count);
+}
+
+void Rankings::zero_counts() {
+  for (auto& e : entries_) e.count = 0;
+  sort_and_trim();  // restore the key order among the now-equal counts
+}
+
+void Rankings::prune_zero_counts() {
+  // Sorted by count descending, so the zero counts are the tail.
+  const auto first_zero = std::find_if(entries_.begin(), entries_.end(),
+                                       [](const Entry& e) { return e.count == 0; });
+  entries_.erase(first_zero, entries_.end());
 }
 
 void Rankings::sort_and_trim() {

@@ -44,6 +44,13 @@ class Rankings {
   void update(const std::string& key, std::uint64_t count);
   void merge(const Rankings& other);
 
+  /// Refresh cycle for rankers fed every live key's total once per tick:
+  /// zero_counts() after emitting marks every entry stale while keeping
+  /// its key, update() revives the keys the next refresh carries, and
+  /// prune_zero_counts() before emitting drops the keys it did not.
+  void zero_counts();
+  void prune_zero_counts();
+
   struct Entry {
     std::string key;
     std::uint64_t count = 0;

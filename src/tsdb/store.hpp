@@ -9,8 +9,7 @@
 //                     + varint encoded into fixed-size chunks (FIFO
 //                     eviction folds a chunk's rollup into the evicted
 //                     aggregate);
-//   hot tier       -- a fixed-slot ring of raw (tick, value) samples; the
-//                     generalization of the old common::SnapshotRing.
+//   hot tier       -- a fixed-slot ring of raw (tick, value) samples.
 //
 // Ingest sources: per-tick cumulative MetricsRegistry snapshots (capture()
 // diffs counters into deltas, stores gauges absolute, explodes histograms

@@ -15,7 +15,9 @@
 #      code registers (the ExporterFormat names in src/obs/export.cpp),
 #   6. docs/FEDERATION.md stops documenting a federation message type the
 #      wire protocol defines (the MsgType enumerators in
-#      src/fed/wire.hpp).
+#      src/fed/wire.hpp),
+#   7. a src/**/*.hpp or src/**/*.cpp path mentioned in the docs does not
+#      exist (so docs stop naming deleted sources).
 #
 # Wired into tests/run_ci.sh as the `docs` lane.
 set -eu
@@ -108,6 +110,13 @@ else
     fi
   done
 fi
+
+# 7. Source paths named in the docs must exist.
+for path in $(grep -ho 'src/[A-Za-z0-9_/]*\.\(hpp\|cpp\)' $docs | sort -u); do
+  if [ ! -e "$path" ]; then
+    fail "docs mention missing source file: $path"
+  fi
+done
 
 if [ -e "$repo_root/.check_docs_failed" ]; then
   rm -f "$repo_root/.check_docs_failed"

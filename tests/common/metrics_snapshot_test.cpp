@@ -1,9 +1,8 @@
 // Snapshot filtering and diff-stable rendering: the contract the drop
-// ledger, reconcile() and the SnapshotRing time series all build on.
+// ledger, reconcile() and the tsdb captures all build on.
 #include <gtest/gtest.h>
 
 #include "common/metrics.hpp"
-#include "common/trace.hpp"
 
 namespace netalytics::common {
 namespace {
@@ -101,27 +100,6 @@ TEST(SnapshotRender, MergesKindsInGlobalNameOrderWithCumulativeBuckets) {
   EXPECT_NE(text.find("c.lat{le=\"100\"} 1\n"), std::string::npos);
   EXPECT_NE(text.find("c.lat{le=\"+Inf\"} 2\n"), std::string::npos);
   EXPECT_NE(text.find("c.lat_count 2\n"), std::string::npos);
-}
-
-TEST(SnapshotRing, WindowsAPrefixFilteredSnapshot) {
-  // The engine captures full snapshots; components can window just their
-  // own prefix the same way.
-  MetricsRegistry r;
-  auto& mine = r.counter("stage.work");
-  r.counter("other.noise").inc(999);
-
-  SnapshotRing ring(8);
-  mine.inc(4);
-  ring.capture(1000, r.snapshot("stage."));
-  mine.inc(6);
-  r.counter("other.noise").inc(1);
-  ring.capture(2000, r.snapshot("stage."));
-
-  const auto entries = ring.entries();
-  ASSERT_EQ(entries.size(), 2u);
-  ASSERT_EQ(entries[1].delta.counters.size(), 1u);
-  EXPECT_EQ(entries[1].delta.counters[0].name, "stage.work");
-  EXPECT_EQ(entries[1].delta.counters[0].value, 6u);
 }
 
 }  // namespace

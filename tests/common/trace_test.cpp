@@ -131,48 +131,5 @@ TEST(DropLedger, EveryCauseHasANameAndLossClass) {
   EXPECT_FALSE(drop_cause_is_loss(DropCause::stream_window_eviction));
 }
 
-TEST(SnapshotRing, KeepsDeltasAndEvictsOldestWindow) {
-  MetricsRegistry registry;
-  auto& hits = registry.counter("pipeline.hits");
-  auto& depth = registry.gauge("pipeline.depth");
-
-  SnapshotRing ring(3);
-  for (int w = 1; w <= 5; ++w) {
-    hits.inc(static_cast<std::uint64_t>(w));  // +1, +2, ... per window
-    depth.set(10 * w);
-    ring.capture(static_cast<Timestamp>(w) * 1000, registry.snapshot());
-  }
-
-  EXPECT_EQ(ring.size(), 3u);
-  EXPECT_EQ(ring.captures(), 5u);
-  const auto entries = ring.entries();
-  ASSERT_EQ(entries.size(), 3u);
-  // Windows 1 and 2 were overwritten; 3..5 remain, oldest first.
-  EXPECT_EQ(entries[0].ts, 3000u);
-  EXPECT_EQ(entries[2].ts, 5000u);
-  // Counters are per-window deltas; gauges stay absolute levels.
-  ASSERT_EQ(entries[0].delta.counters.size(), 1u);
-  EXPECT_EQ(entries[0].delta.counters[0].value, 3u);
-  EXPECT_EQ(entries[2].delta.counters[0].value, 5u);
-  ASSERT_EQ(entries[2].delta.gauges.size(), 1u);
-  EXPECT_EQ(entries[2].delta.gauges[0].value, 50);
-
-  const auto text = ring.render();
-  EXPECT_NE(text.find("t=5000 pipeline.hits +5"), std::string::npos);
-  EXPECT_NE(text.find("t=5000 pipeline.depth 50"), std::string::npos);
-}
-
-TEST(SnapshotRing, UnchangedCountersAreElided) {
-  MetricsRegistry registry;
-  registry.counter("static.counter").inc(7);
-  SnapshotRing ring(4);
-  ring.capture(1000, registry.snapshot());
-  ring.capture(2000, registry.snapshot());  // nothing changed
-  const auto entries = ring.entries();
-  ASSERT_EQ(entries.size(), 2u);
-  EXPECT_EQ(entries[0].delta.counters.size(), 1u);
-  EXPECT_TRUE(entries[1].delta.counters.empty());
-}
-
 }  // namespace
 }  // namespace netalytics::common

@@ -66,7 +66,7 @@ TEST_F(EngineTest, TopKEndToEnd) {
   engine_.pump(2 * common::kSecond);  // first tick: counting window emits
   engine_.pump(3 * common::kSecond);
 
-  const auto rows = handle->latest_by_key(1);  // latest per rank
+  const auto rows = handle->view().latest(1);  // latest per rank
   ASSERT_GE(rows.size(), 3u);
   EXPECT_EQ(stream::as_str(rows[0].at(1)), "/hot");
   EXPECT_EQ(stream::as_u64(rows[0].at(2)), 12u);
@@ -112,7 +112,7 @@ TEST_F(EngineTest, DiffGroupMeasuresPerServerResponseTimes) {
   }
   engine_.pump(3 * common::kSecond);
 
-  const auto rows = handle->latest_by_key(1);
+  const auto rows = handle->view().latest(1);
   ASSERT_EQ(rows.size(), 2u);
   double h5_ms = 0, h9_ms = 0;
   for (const auto& row : rows) {
@@ -276,7 +276,7 @@ TEST_F(EngineTest, RenderProducesReadableRows) {
   ASSERT_TRUE(q.has_value());
   http_session("h0", "h5", "/render-me", common::kSecond);
   engine_.pump(2 * common::kSecond);
-  const std::string text = (*q)->render(1);
+  const std::string text = (*q)->view().render(1);
   EXPECT_NE(text.find("/render-me"), std::string::npos);
 }
 

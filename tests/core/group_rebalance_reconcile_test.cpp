@@ -140,7 +140,7 @@ RunCapture run_churn_chaos(std::size_t workers) {
   EXPECT_GT(plan.fires("mq.broker.0.down") + plan.fires("mq.broker.1.down"),
             0u);
   EXPECT_GT(plan.fires("mq.broker.0.reject"), 0u);
-  return {(*q)->results(), (*q)->render_metrics(),
+  return {(*q)->results(), (*q)->render(RenderOptions{}),
           (*q)->render_trace(/*max_traces=*/200)};
 }
 
@@ -164,7 +164,7 @@ RunCapture run_clean(std::size_t group_size, std::size_t workers = 1) {
   expect_exact(engine, **q, "mid clean run");
   engine.pump(3 * common::kSecond);
   expect_exact(engine, **q, "end of clean run");
-  return {(*q)->results(), (*q)->render_metrics(),
+  return {(*q)->results(), (*q)->render(RenderOptions{}),
           (*q)->render_trace(/*max_traces=*/200)};
 }
 

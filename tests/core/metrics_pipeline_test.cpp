@@ -44,8 +44,8 @@ std::string run_identity_query(std::string& results_render) {
   http_traffic(emu, 4, common::kSecond);
   engine.pump(2 * common::kSecond);
   engine.stop_all(3 * common::kSecond);
-  results_render = (*q)->render(2);
-  return engine.render_metrics();
+  results_render = (*q)->view().render(2);
+  return engine.render(RenderOptions{});
 }
 
 TEST(MetricsDeterminismTest, IdenticalVirtualRunsRenderIdenticalMetrics) {
@@ -105,7 +105,7 @@ TEST_F(MetricsPipelineTest, RenderMetricsReportsCountersAndStageHistogram) {
   engine_.pump(2 * common::kSecond);
 
   // Per-query rendering: monitor counters and the stage histograms.
-  const std::string qtext = (*q)->render_metrics();
+  const std::string qtext = (*q)->render(RenderOptions{});
   EXPECT_NE(qtext.find("q1.mon0.rx_packets"), std::string::npos);
   EXPECT_NE(qtext.find("q1.stage.e2e_count"), std::string::npos);
 
@@ -124,7 +124,7 @@ TEST_F(MetricsPipelineTest, RenderMetricsReportsCountersAndStageHistogram) {
   EXPECT_GT(e2e->count, 0u);
 
   // Engine-wide rendering covers the broker layer too.
-  const std::string all = engine_.render_metrics();
+  const std::string all = engine_.render(RenderOptions{});
   EXPECT_NE(all.find("mq.broker0."), std::string::npos);
 }
 
@@ -200,9 +200,6 @@ TEST(ResultViewTest, ViewMatchesLegacyAccessors) {
   ASSERT_FALSE(view.empty());
   EXPECT_EQ(view.size(), h.results().size());
   EXPECT_EQ(&view.all(), &h.results());
-  EXPECT_EQ(view.latest(2), h.latest_by_key(2));
-  EXPECT_EQ(view.render(2), h.render(2));
-  EXPECT_EQ(view.render(2, 1), h.render(2, 1));  // truncation path too
 }
 
 }  // namespace

@@ -107,7 +107,7 @@ RunCapture run_chaos(std::size_t workers) {
     engine.pump(t);
     EXPECT_TRUE(engine.reconcile(**q).exact()) << "workers=" << workers;
   }
-  return {(*q)->results(), (*q)->render_metrics(),
+  return {(*q)->results(), (*q)->render(RenderOptions{}),
           (*q)->render_trace(/*max_traces=*/200)};
 }
 
@@ -128,7 +128,7 @@ RunCapture run_clean(std::size_t workers) {
   engine.pump(2 * common::kSecond);
   engine.pump(3 * common::kSecond);
   EXPECT_TRUE(engine.reconcile(**q).exact());
-  return {(*q)->results(), (*q)->render_metrics(),
+  return {(*q)->results(), (*q)->render(RenderOptions{}),
           (*q)->render_trace(/*max_traces=*/200)};
 }
 

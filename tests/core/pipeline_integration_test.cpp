@@ -96,7 +96,7 @@ TEST_F(PipelineIntegrationTest, ParallelProcessorsProduceSameTopK) {
   run_session("/one");
   parallel_engine.pump(2 * common::kSecond);
 
-  const auto rows = (*q)->latest_by_key(1);
+  const auto rows = (*q)->view().latest(1);
   ASSERT_EQ(rows.size(), 3u);
   EXPECT_EQ(stream::as_str(rows[0].at(1)), "/nine");
   EXPECT_EQ(stream::as_u64(rows[0].at(2)), 9u);
@@ -119,7 +119,7 @@ TEST_F(PipelineIntegrationTest, MemcachedParserEndToEnd) {
   session("h1", "h9", 11211, req2, resp, common::kSecond);
   engine_.pump(2 * common::kSecond);
 
-  const auto rows = (*q)->latest_by_key(1);
+  const auto rows = (*q)->view().latest(1);
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(stream::as_str(rows[0].at(1)), "user:7");
   EXPECT_EQ(stream::as_u64(rows[0].at(2)), 4u);
@@ -146,7 +146,7 @@ TEST_F(PipelineIntegrationTest, MysqlLatencyThroughFullWebApp) {
   // Per-statement averages must reflect the page profiles: the heavy
   // aggregate query is slower than the simple lookup.
   double simple_ms = -1, heavy_ms = -1;
-  for (const auto& row : (*q)->latest_by_key(1)) {
+  for (const auto& row : (*q)->view().latest(1)) {
     const auto& stmt = stream::as_str(row.at(0));
     const double ms = stream::as_f64(row.at(1)) / common::kMillisecond;
     if (stmt.find("first_name FROM actor") != std::string::npos) simple_ms = ms;
@@ -172,7 +172,7 @@ TEST_F(PipelineIntegrationTest, PktSizeGroupSumMatchesPayloadBytes) {
   engine_.stop_all(3 * common::kSecond);
 
   double fwd = -1, rev = -1;
-  for (const auto& row : (*q)->latest_by_key(2)) {
+  for (const auto& row : (*q)->view().latest(2)) {
     const auto src = static_cast<net::Ipv4Addr>(stream::as_u64(row.at(0)));
     if (src == *emu_.ip_of_name("h0")) fwd = stream::as_f64(row.at(2));
     if (src == *emu_.ip_of_name("h5")) rev = stream::as_f64(row.at(2));

@@ -224,15 +224,11 @@ TEST(RenderOptionsTest, UnifiedRenderShimsAgree) {
   http_traffic(emu, 2, common::kSecond);
   engine.pump(2 * common::kSecond);
 
-  // Engine: render(opts) is the entry point, render_metrics the shim.
-  EXPECT_EQ(engine.render(RenderOptions{}), engine.render_metrics());
-  EXPECT_EQ(engine.render(RenderOptions{.prefix = "mq."}),
-            engine.render_metrics("mq."));
+  // Engine: render(opts) filters by prefix.
   EXPECT_FALSE(engine.render(RenderOptions{.prefix = "mq."}).empty());
 
   // Query: render(opts) scopes under "q<id>.".
   const QueryHandle& h = **q;
-  EXPECT_EQ(h.render(RenderOptions{}), h.render_metrics());
   const auto mon_only = h.render(RenderOptions{.prefix = "mon"});
   EXPECT_NE(mon_only.find("q1.mon0.rx_packets"), std::string::npos);
   EXPECT_EQ(mon_only.find("q1.stage."), std::string::npos);

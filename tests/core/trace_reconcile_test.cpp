@@ -250,7 +250,6 @@ TEST(TraceReconcile, DisabledTracingKeepsLedgerOn) {
 TEST(TraceReconcile, TimeseriesCapturesPerTickDeltas) {
   Emulation emu = Emulation::make_small(4);
   EngineConfig cfg;
-  cfg.timeseries_slots = 8;
   NetAlytics engine(emu, cfg);
 
   auto q = engine.submit(kQuery, 0);
@@ -259,7 +258,7 @@ TEST(TraceReconcile, TimeseriesCapturesPerTickDeltas) {
   engine.pump(2 * common::kSecond);
   engine.pump(3 * common::kSecond);
 
-  // The tiered store captured the same per-tick history: ordered windows
+  // The tiered store captured the per-tick history: ordered windows
   // carrying the query's counters.
   EXPECT_GE(engine.timeseries_store().stats().captures, 2u);
   const auto res = engine.query_range({.selector = "q1.mon0.rx_packets",
@@ -272,31 +271,6 @@ TEST(TraceReconcile, TimeseriesCapturesPerTickDeltas) {
   }
   EXPECT_NE(res.render().find("rx_packets"), std::string::npos);
 }
-
-// The deprecated SnapshotRing accessor stays behaviorally intact for one
-// release; this is the single remaining caller.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(TraceReconcile, DeprecatedSnapshotRingShimStillCaptures) {
-  Emulation emu = Emulation::make_small(4);
-  {
-    NetAlytics engine(emu);
-    EXPECT_EQ(engine.timeseries(), nullptr);  // off by default
-  }
-  EngineConfig cfg;
-  cfg.timeseries_slots = 8;
-  NetAlytics engine(emu, cfg);
-  ASSERT_NE(engine.timeseries(), nullptr);
-  auto q = engine.submit(kQuery, 0);
-  ASSERT_TRUE(q.has_value());
-  http_session(emu, 0, common::kSecond);
-  engine.pump(2 * common::kSecond);
-  engine.pump(3 * common::kSecond);
-  EXPECT_GE(engine.timeseries()->captures(), 2u);
-  EXPECT_NE(engine.timeseries()->render().find("rx_packets"),
-            std::string::npos);
-}
-#pragma GCC diagnostic pop
 
 }  // namespace
 }  // namespace netalytics::core

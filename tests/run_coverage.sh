@@ -3,8 +3,9 @@
 # stream / core / tsdb / obs / fed suites, and report line coverage for
 # src/mq, src/stream, src/tsdb and src/obs (the aggregation layer, the
 # stream engine, the tiered time-series store, and the export layer),
-# plus per-file floors for the free-running executor, every export-layer
-# source, and every federation source (docs/FEDERATION.md). The lane
+# plus per-file floors for both topology executors and the task graph
+# they share, every export-layer source, and every federation source
+# (docs/FEDERATION.md). The lane
 # FAILS if any module drops below its recorded baseline, so coverage can
 # only ratchet up.
 #
@@ -27,8 +28,9 @@ jobs=$(nproc 2>/dev/null || echo 4)
 mq_baseline=95
 stream_baseline=90
 tsdb_baseline=90
-# Per-file floor for the free-running executor sources: new concurrency
-# code ships with its differential suites or not at all.
+# Per-file floor for the executor sources (stepped, free-running, the
+# shared task graph): concurrency code ships with its differential suites
+# or not at all.
 executor_file_baseline=85
 # Per-file floor for every export-layer source: exporters are pure
 # string-building functions, so near-total coverage is the natural state.
@@ -135,6 +137,8 @@ gate stream "$stream_baseline" || status=1
 gate tsdb "$tsdb_baseline" || status=1
 gate_file src/stream/free_running.cpp "$executor_file_baseline" || status=1
 gate_file src/stream/executor.cpp "$executor_file_baseline" || status=1
+gate_file src/stream/stepped.cpp "$executor_file_baseline" || status=1
+gate_file src/stream/task_graph.cpp "$executor_file_baseline" || status=1
 for obs_src in src/obs/*.cpp; do
   gate_file "$obs_src" "$obs_file_baseline" || status=1
 done

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <map>
 
 #include "common/rng.hpp"
@@ -122,6 +123,67 @@ TEST(TopKPipeline, WindowExpiryDropsStaleKeys) {
   EXPECT_EQ(emissions.size(), 2u);  // still within the 2-slot window
   topo.tick(3);
   EXPECT_EQ(emissions.size(), 2u);  // expired: no emission
+}
+
+TEST(TopKPipeline, KeyLeavesRankingsWhenItAgesOutOfTheWindow) {
+  // A key seen only in window 1 of a 2-slot counting window must leave the
+  // global top-k once it ages out, not stay ranked with its old count.
+  class FeedSpout final : public Spout {
+   public:
+    explicit FeedSpout(std::deque<Tuple>& feed) : feed_(feed) {}
+    bool next_tuple(Collector& out, common::Timestamp) override {
+      if (feed_.empty()) return false;
+      out.emit(std::move(feed_.front()));
+      feed_.pop_front();
+      return true;
+    }
+
+   private:
+    std::deque<Tuple>& feed_;
+  };
+  std::deque<Tuple> feed;
+  TopologyBuilder b("stale-topk");
+  b.set_spout("s", [&feed] { return std::make_unique<FeedSpout>(feed); },
+              {"key"});
+  b.set_bolt("count", [] { return std::make_unique<CountingBolt>(0, 2); },
+             {"key", "count"}, 2)
+      .fields_grouping("s", {"key"});
+  b.set_bolt("rank", [] { return std::make_unique<IntermediateRankingsBolt>(5); },
+             {"key", "count"}, 2)
+      .fields_grouping("count", {"key"});
+  b.set_bolt("total", [] { return std::make_unique<TotalRankingsBolt>(5); },
+             {"rank", "key", "count"})
+      .global_grouping("rank");
+  std::vector<Tuple> results;
+  b.set_bolt("sink",
+             [&results] {
+               return std::make_unique<SinkBolt>(
+                   [&results](const Tuple& t) { results.push_back(t); });
+             },
+             {})
+      .global_grouping("total");
+  SteppedTopology topo(b.build());
+
+  // Feeds one window of keys, ticks, and returns that tick's ranking as
+  // "key:count" in rank order.
+  auto window = [&](std::vector<std::string> keys, common::Timestamp now) {
+    for (auto& key : keys) feed.push_back(Tuple{{std::move(key)}});
+    topo.run_until_idle(now);
+    const std::size_t before = results.size();
+    topo.tick(now);
+    std::vector<std::string> ranking;
+    for (std::size_t i = before; i < results.size(); ++i) {
+      EXPECT_EQ(as_u64(results[i].at(0)), i - before + 1) << "rank position";
+      ranking.push_back(as_str(results[i].at(1)) + ":" +
+                        std::to_string(as_u64(results[i].at(2))));
+    }
+    return ranking;
+  };
+  using Ranking = std::vector<std::string>;
+  EXPECT_EQ(window({"old", "old", "old", "new"}, 1), (Ranking{"old:3", "new:1"}));
+  EXPECT_EQ(window({"new"}, 2), (Ranking{"old:3", "new:2"}));  // still windowed
+  EXPECT_EQ(window({"new"}, 3), (Ranking{"new:2"}));           // aged out
+  EXPECT_EQ(window({"new"}, 4), (Ranking{"new:2"}));
 }
 
 }  // namespace

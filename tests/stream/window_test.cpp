@@ -100,6 +100,32 @@ TEST(Rankings, DeterministicTieBreakByKey) {
   EXPECT_EQ(r.entries()[0].key, "a");
 }
 
+TEST(Rankings, TieAtTheKthEntryBreaksByKey) {
+  // A full ranking admits a newcomer that ties the last count only when
+  // its key sorts first; otherwise the newcomer is dropped unranked.
+  Rankings r(2);
+  r.update("a", 9);
+  r.update("m", 5);
+  r.update("z", 5);
+  EXPECT_EQ(r.entries()[1].key, "m");
+  r.update("b", 5);
+  EXPECT_EQ(r.entries()[1].key, "b");
+  r.update("c", 4);
+  ASSERT_EQ(r.entries().size(), 2u);
+  EXPECT_EQ(r.entries()[1], (Rankings::Entry{"b", 5}));
+}
+
+TEST(Rankings, PruneZeroCountsDropsKeysTheRefreshSkipped) {
+  Rankings r(3);
+  r.update("a", 5);
+  r.update("b", 7);
+  r.zero_counts();
+  r.update("a", 6);  // the next refresh carries only "a"
+  r.prune_zero_counts();
+  ASSERT_EQ(r.entries().size(), 1u);
+  EXPECT_EQ(r.entries()[0], (Rankings::Entry{"a", 6}));
+}
+
 TEST(Rankings, ZeroKClampsToOne) {
   Rankings r(0);
   r.update("a", 1);
