@@ -73,7 +73,7 @@ Outcome run(bool adaptive) {
         monitor.set_sample_rate(std::min(1.0, monitor.sample_rate() + 0.03));
       }
     }
-    out.records_consumed += consumer.poll("http_get", 40).size();
+    out.records_consumed += consumer.poll_batch("http_get", 40).size();
   }
   out.final_rate = monitor.sample_rate();
   out.retention_drops = cluster.aggregate_stats().dropped_retention;

@@ -117,54 +117,11 @@ Cell run_produce(bool global_lock, bool batched) {
   return {total / secs, total * static_cast<double>(kPayloadBytes) / secs};
 }
 
-/// Drain a prefilled topic. `deep_copy` clones every payload into a fresh
-/// buffer (the seed's value-copy consume); otherwise the refcounted bytes
-/// are read in place.
+/// Drain a prefilled topic through poll_batch(), the one fetch path.
+/// `deep_copy` clones every record's payload bytes into a fresh buffer
+/// (the seed's value-copy consume); otherwise the refcounted bytes are
+/// read in place.
 Cell run_poll(bool deep_copy) {
-  mq::Broker broker(bench_config());
-  constexpr std::size_t kMessages = kThreads * kPerThread / 2;
-  for (std::size_t i = 0; i < kMessages; ++i) {
-    broker.produce(make_msg("t0", i % 8), 0);
-  }
-  const std::size_t filled = broker.depth("t0");
-
-  std::uint64_t checksum = 0;
-  std::size_t polled = 0;
-  const auto start = std::chrono::steady_clock::now();
-  for (;;) {
-    const auto msgs = broker.poll("g", "t0", 512);
-    if (msgs.empty()) break;
-    polled += msgs.size();
-    for (const auto& m : msgs) {
-      if (deep_copy) {
-        const auto view = m.payload.view();
-        std::vector<std::byte> copy(view.begin(), view.end());
-        checksum += static_cast<std::uint64_t>(copy[polled % kPayloadBytes]);
-      } else {
-        // Zero-copy contract: the log and this message share the buffer.
-        if (m.payload.use_count() < 2) {
-          std::fprintf(stderr, "poll deep-copied a payload\n");
-          std::exit(1);
-        }
-        checksum += static_cast<std::uint64_t>(m.payload[polled % kPayloadBytes]);
-      }
-    }
-  }
-  const double secs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  if (polled != filled || checksum == 0) {
-    std::fprintf(stderr, "poll accounting broken\n");
-    std::exit(1);
-  }
-  return {static_cast<double>(polled) / secs,
-          static_cast<double>(polled * kPayloadBytes) / secs};
-}
-
-/// Drain via poll_batch(): the fully zero-copy consume path — one topic
-/// header per fetch instead of a std::string per message, records are
-/// header structs sharing the log's payload bytes.
-Cell run_poll_batch() {
   mq::Broker broker(bench_config());
   constexpr std::size_t kMessages = kThreads * kPerThread / 2;
   for (std::size_t i = 0; i < kMessages; ++i) {
@@ -180,19 +137,25 @@ Cell run_poll_batch() {
     if (batch.empty()) break;
     polled += batch.size();
     for (const auto& r : batch.records) {
-      // Zero-copy contract: the log and this record share the buffer.
-      if (r.payload.use_count() < 2) {
-        std::fprintf(stderr, "poll_batch deep-copied a payload\n");
-        std::exit(1);
+      if (deep_copy) {
+        const auto view = r.payload.view();
+        std::vector<std::byte> copy(view.begin(), view.end());
+        checksum += static_cast<std::uint64_t>(copy[polled % kPayloadBytes]);
+      } else {
+        // Zero-copy contract: the log and this record share the buffer.
+        if (r.payload.use_count() < 2) {
+          std::fprintf(stderr, "poll deep-copied a payload\n");
+          std::exit(1);
+        }
+        checksum += static_cast<std::uint64_t>(r.payload[polled % kPayloadBytes]);
       }
-      checksum += static_cast<std::uint64_t>(r.payload[polled % kPayloadBytes]);
     }
   }
   const double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
   if (polled != filled || checksum == 0) {
-    std::fprintf(stderr, "poll_batch accounting broken\n");
+    std::fprintf(stderr, "poll accounting broken\n");
     std::exit(1);
   }
   return {static_cast<double>(polled) / secs,
@@ -225,7 +188,6 @@ int main() {
       {"produce sharded+batched", best_of_two([] { return run_produce(false, true); })},
       {"poll deep-copy", best_of_two([] { return run_poll(true); })},
       {"poll zero-copy", best_of_two([] { return run_poll(false); })},
-      {"poll batch-view", best_of_two([] { return run_poll_batch(); })},
   };
   for (const Row& r : rows) {
     std::printf("%-24s %14.0f %14.1f\n", r.name, r.cell.msgs_per_sec,
@@ -234,11 +196,9 @@ int main() {
 
   const double speedup = rows[3].cell.msgs_per_sec / rows[0].cell.msgs_per_sec;
   const double poll_speedup = rows[5].cell.msgs_per_sec / rows[4].cell.msgs_per_sec;
-  const double batch_speedup = rows[6].cell.msgs_per_sec / rows[4].cell.msgs_per_sec;
   std::printf("\nsharded+batched vs global+permsg: %.2fx (target >= 2x): %s\n",
               speedup, speedup >= 2.0 ? "yes" : "NO");
   std::printf("zero-copy vs deep-copy poll: %.2fx\n", poll_speedup);
-  std::printf("batch-view vs deep-copy poll: %.2fx\n", batch_speedup);
 
   if (std::FILE* f = std::fopen("BENCH_mq.json", "w")) {
     std::fprintf(f, "{\n");
@@ -248,18 +208,16 @@ int main() {
     std::fprintf(f, "  \"cells\": {\n");
     const char* const keys[] = {"produce_global_permsg", "produce_global_batched",
                                 "produce_sharded_permsg", "produce_sharded_batched",
-                                "poll_deep_copy", "poll_zero_copy",
-                                "poll_batch_view"};
-    for (int i = 0; i < 7; ++i) {
+                                "poll_deep_copy", "poll_zero_copy"};
+    for (int i = 0; i < 6; ++i) {
       std::fprintf(f, "    \"%s\": {\"msgs_per_sec\": %.0f, \"bytes_per_sec\": %.0f}%s\n",
                    keys[i], rows[i].cell.msgs_per_sec, rows[i].cell.bytes_per_sec,
-                   i < 6 ? "," : "");
+                   i < 5 ? "," : "");
     }
     std::fprintf(f, "  },\n");
     std::fprintf(f, "  \"produce_speedup_sharded_batched_vs_global_permsg\": %.2f,\n",
                  speedup);
-    std::fprintf(f, "  \"poll_speedup_zero_copy_vs_deep_copy\": %.2f,\n", poll_speedup);
-    std::fprintf(f, "  \"poll_speedup_batch_view_vs_deep_copy\": %.2f\n", batch_speedup);
+    std::fprintf(f, "  \"poll_speedup_zero_copy_vs_deep_copy\": %.2f\n", poll_speedup);
     std::fprintf(f, "}\n");
     std::fclose(f);
   }

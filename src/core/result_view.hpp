@@ -43,11 +43,6 @@ class ResultView {
   /// truncated with "..." past opts.max_rows (opts.prefix is unused here).
   std::string render(const RenderOptions& opts) const;
 
-  /// Pre-RenderOptions signature, kept as a thin shim for one release.
-  std::string render(std::size_t key_fields, std::size_t max_rows = 50) const {
-    return render(RenderOptions{.key_fields = key_fields, .max_rows = max_rows});
-  }
-
  private:
   const std::vector<stream::Tuple>* tuples_;
 };

@@ -263,37 +263,10 @@ void Broker::produce_batch(std::span<Message> msgs, common::Timestamp now,
   }
 }
 
-std::vector<Message> Broker::poll(std::string_view group,
-                                  std::string_view topic_name, std::size_t max) {
-  return poll(group, topic_name, max, {});
-}
-
-std::vector<Message> Broker::poll(std::string_view group,
-                                  std::string_view topic_name, std::size_t max,
-                                  std::span<const std::size_t> partitions) {
-  FetchBatch batch = poll_batch(group, topic_name, max, partitions);
-  std::vector<Message> out;
-  out.reserve(batch.records.size());
-  for (auto& r : batch.records) {
-    Message m;
-    m.topic = batch.topic;
-    m.key = r.key;
-    m.payload = std::move(r.payload);
-    m.timestamp = r.timestamp;
-    m.offset = r.offset;
-    m.append_ts = r.append_ts;
-    m.records = r.records;
-    m.traces = std::move(r.traces);
-    out.push_back(std::move(m));
-  }
-  return out;
-}
-
 FetchBatch Broker::poll_batch(std::string_view group,
                               std::string_view topic_name, std::size_t max,
                               std::span<const std::size_t> partitions) {
   FetchBatch out;
-  out.topic = std::string(topic_name);
   const common::Timestamp now = last_now_.load(std::memory_order_relaxed);
   // A down broker serves no fetches either; group offsets are untouched, so
   // consumers simply re-poll from where they left off after recovery.
@@ -324,7 +297,6 @@ FetchBatch Broker::poll_batch(std::string_view group,
     const std::size_t index = partitions.empty() ? i : partitions[i];
     if (index >= top->partitions.size()) continue;
     Partition& part = *top->partitions[index];
-    const std::size_t begin = out.records.size();
     std::lock_guard part_lock(part.mutex);
     auto it = part.group_offsets.find(group);
     if (it == part.group_offsets.end()) {
@@ -349,11 +321,6 @@ FetchBatch Broker::poll_batch(std::string_view group,
         fetch(part.log[next - part.base_offset]);
       }
       ++next;
-    }
-    if (out.records.size() > begin) {
-      out.slices.push_back(PartitionSlice{
-          .broker = 0, .partition = index, .begin = begin,
-          .end = out.records.size()});
     }
   }
   consumed_->inc(out.records.size());

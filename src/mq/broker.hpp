@@ -120,29 +120,13 @@ class Broker {
   void produce_batch(std::span<Message> msgs, common::Timestamp now,
                      std::span<ProduceStatus> statuses);
 
-  /// Poll up to `max` messages for a consumer group across all partitions
-  /// of `topic`, advancing the group's offsets. Payload bytes are shared
-  /// with the log (refcounted), never copied. Compatibility wrapper over
-  /// poll_batch() — it reconstructs a Message (fresh topic string) per
-  /// record; batch-aware consumers should call poll_batch() directly.
-  std::vector<Message> poll(std::string_view group, std::string_view topic,
-                            std::size_t max);
-
-  /// Assignment-aware poll: read only the listed partition indexes, in the
-  /// order given (a group member fetches its share and nothing else; see
-  /// mq/group.hpp). An empty span means every partition. Out-of-range
-  /// indexes are ignored. Offsets advance per (group, partition) exactly as
-  /// in the unfiltered poll — the cursors are shared group state, which is
-  /// what makes rebalance handoff exact.
-  std::vector<Message> poll(std::string_view group, std::string_view topic,
-                            std::size_t max,
-                            std::span<const std::size_t> partitions);
-
-  /// The primary fetch path: like poll(partitions) but the result carries
-  /// one topic header for the whole batch and per-partition slice views,
-  /// so nothing per-message is heap-allocated on the consume path (payloads
-  /// refcounted as always; see FetchBatch in message.hpp). The Message
-  /// poll() overloads wrap this.
+  /// The one fetch path: up to `max` records of `topic` for a consumer
+  /// group, read from the listed partition indexes in the order given (a
+  /// group member fetches its share and nothing else; see mq/group.hpp).
+  /// An empty span means every partition; out-of-range indexes are
+  /// ignored. Offsets advance per (group, partition): the cursors are
+  /// shared group state, which is what makes rebalance handoff exact.
+  /// Payload bytes are shared with the log (refcounted), never copied.
   FetchBatch poll_batch(std::string_view group, std::string_view topic,
                         std::size_t max,
                         std::span<const std::size_t> partitions = {});

@@ -51,58 +51,13 @@ void Cluster::bind_metrics(common::MetricsRegistry& registry,
   }
 }
 
-std::vector<Message> Cluster::poll(std::string_view group,
-                                   std::string_view topic, std::size_t max) {
-  std::vector<Message> out;
-  for (auto& broker : brokers_) {
-    if (out.size() >= max) break;
-    auto batch = broker->poll(group, topic, max - out.size());
-    out.insert(out.end(), std::make_move_iterator(batch.begin()),
-               std::make_move_iterator(batch.end()));
-  }
-  return out;
-}
-
-std::vector<Message> Cluster::poll(std::string_view group,
-                                   std::string_view topic, std::size_t max,
-                                   std::uint64_t member) {
-  if (member == 0) return poll(group, topic, max);
-  // The assignment is sorted by (broker, partition): fetch each broker's
-  // contiguous run of assigned partitions with one call, in the same order
-  // every member of every generation uses.
-  const auto assigned = coordinator_.assignment(group, member);
-  std::vector<Message> out;
-  std::vector<std::size_t> indexes;
-  std::size_t i = 0;
-  while (i < assigned.size() && out.size() < max) {
-    const std::size_t b = assigned[i].broker;
-    indexes.clear();
-    while (i < assigned.size() && assigned[i].broker == b) {
-      indexes.push_back(assigned[i].partition);
-      ++i;
-    }
-    auto batch = brokers_[b]->poll(group, topic, max - out.size(), indexes);
-    out.insert(out.end(), std::make_move_iterator(batch.begin()),
-               std::make_move_iterator(batch.end()));
-  }
-  return out;
-}
-
 namespace {
-/// Splice one broker's batch onto the tail of `out`: records move (payload
-/// refcounts transfer, nothing re-copies), slices shift by the insertion
-/// point and learn their broker index.
-void merge_batch(FetchBatch& out, FetchBatch&& batch, std::size_t broker) {
-  const std::size_t base = out.records.size();
+/// Append one broker's batch to `out`: records move (payload refcounts
+/// transfer, nothing re-copies).
+void merge_batch(FetchBatch& out, FetchBatch&& batch) {
   out.records.insert(out.records.end(),
                      std::make_move_iterator(batch.records.begin()),
                      std::make_move_iterator(batch.records.end()));
-  for (PartitionSlice slice : batch.slices) {
-    slice.broker = broker;
-    slice.begin += base;
-    slice.end += base;
-    out.slices.push_back(slice);
-  }
   out.total_records += batch.total_records;
 }
 }  // namespace
@@ -110,19 +65,16 @@ void merge_batch(FetchBatch& out, FetchBatch&& batch, std::size_t broker) {
 FetchBatch Cluster::poll_batch(std::string_view group, std::string_view topic,
                                std::size_t max, std::uint64_t member) {
   FetchBatch out;
-  out.topic = std::string(topic);
   if (member == 0) {
-    for (std::size_t b = 0; b < brokers_.size(); ++b) {
+    for (auto& broker : brokers_) {
       if (out.records.size() >= max) break;
-      merge_batch(out,
-                  brokers_[b]->poll_batch(group, topic,
-                                          max - out.records.size()),
-                  b);
+      merge_batch(out, broker->poll_batch(group, topic, max - out.records.size()));
     }
     return out;
   }
-  // Same broker-run walk as the member-aware poll(): the assignment is
-  // sorted by (broker, partition), so each broker is one poll_batch call.
+  // The assignment is sorted by (broker, partition): fetch each broker's
+  // contiguous run of assigned partitions with one call, in the same order
+  // every member of every generation uses.
   const auto assigned = coordinator_.assignment(group, member);
   std::vector<std::size_t> indexes;
   std::size_t i = 0;
@@ -133,10 +85,8 @@ FetchBatch Cluster::poll_batch(std::string_view group, std::string_view topic,
       indexes.push_back(assigned[i].partition);
       ++i;
     }
-    merge_batch(out,
-                brokers_[b]->poll_batch(group, topic,
-                                        max - out.records.size(), indexes),
-                b);
+    merge_batch(out, brokers_[b]->poll_batch(group, topic,
+                                             max - out.records.size(), indexes));
   }
   return out;
 }

@@ -30,23 +30,12 @@ class Cluster {
   void produce_batch(std::span<Message> msgs, common::Timestamp now,
                      std::span<ProduceStatus> statuses);
 
-  /// Poll up to `max` messages across all brokers for a group. The
-  /// member-less legacy shim: reads every partition of every broker (a
-  /// non-member consumer behaves like a group of one).
-  std::vector<Message> poll(std::string_view group, std::string_view topic,
-                            std::size_t max);
-
-  /// Membership-aware poll: fetch only the partitions the coordinator
-  /// currently assigns to `member` (see mq/group.hpp), in (broker,
-  /// partition) order. member == 0 means "not a member" and falls back to
-  /// the poll-everything shim; a departed member's poll returns nothing.
-  std::vector<Message> poll(std::string_view group, std::string_view topic,
-                            std::size_t max, std::uint64_t member);
-
-  /// Batched fetch (Broker::poll_batch across brokers): one topic header
-  /// per call, per-partition slice views with the broker index filled in,
-  /// no per-message allocation. Same membership semantics as poll():
-  /// member == 0 reads every partition of every broker.
+  /// The one fetch path across brokers: up to `max` records of `topic`
+  /// from the partitions the coordinator currently assigns to `member`
+  /// (see mq/group.hpp), one Broker::poll_batch call per broker in
+  /// (broker, partition) order. A departed member's fetch returns nothing.
+  /// member == 0 reads every partition of every broker in that same order,
+  /// which is what a group of one is assigned.
   FetchBatch poll_batch(std::string_view group, std::string_view topic,
                         std::size_t max, std::uint64_t member = 0);
 

@@ -2,25 +2,18 @@
 
 namespace netalytics::mq {
 
-Consumer::Consumer(Cluster& cluster, std::string group, bool join_group)
-    : cluster_(cluster), group_(std::move(group)), grouped_(join_group) {
-  if (join_group) member_ = cluster_.coordinator().join(group_);
-}
+Consumer::Consumer(Cluster& cluster, std::string group)
+    : cluster_(cluster),
+      group_(std::move(group)),
+      member_(cluster_.coordinator().join(group_)) {}
 
 Consumer::~Consumer() { leave(); }
 
-std::vector<Message> Consumer::poll(std::string_view topic, std::size_t max) {
-  // A departed member owns no partitions — it must not fall back to the
-  // member-less poll-everything path, which would double-deliver against
-  // the survivors' shared cursors.
-  if (grouped_ && member_ == 0) return {};
-  auto out = cluster_.poll(group_, topic, max, member_);
-  consumed_ += out.size();
-  return out;
-}
-
 FetchBatch Consumer::poll_batch(std::string_view topic, std::size_t max) {
-  if (grouped_ && member_ == 0) return {};
+  // A departed member owns no partitions — it must not fall back to the
+  // cluster's member-less read-everything path, which would double-deliver
+  // against the survivors' shared cursors.
+  if (member_ == 0) return {};
   auto out = cluster_.poll_batch(group_, topic, max, member_);
   consumed_ += out.records.size();
   return out;

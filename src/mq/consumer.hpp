@@ -3,17 +3,15 @@
 // for new messages" (§5.3). Offsets are tracked per consumer group inside
 // the brokers; distinct group names replay independently.
 //
-// A consumer constructed with join_group = true becomes a *member* of its
-// group: the cluster's GroupCoordinator assigns it a deterministic share of
-// the partition grid and poll() fetches only that share, so N members split
-// a topic instead of each draining every broker. The two-argument
-// constructor keeps the original member-less semantics (poll everything) as
-// a shim for existing call sites.
+// Every consumer is a *member* of its group from construction: the
+// cluster's GroupCoordinator assigns it a deterministic share of the
+// partition grid and poll_batch() fetches only that share, so N members
+// split a topic instead of each draining every broker. A group of one owns
+// the whole grid.
 #pragma once
 
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "mq/cluster.hpp"
 
@@ -21,22 +19,16 @@ namespace netalytics::mq {
 
 class Consumer {
  public:
-  /// join_group = false (the legacy shim) polls every partition; true joins
-  /// `group` as a member and polls only the coordinator-assigned share.
-  Consumer(Cluster& cluster, std::string group, bool join_group = false);
+  /// Joins `group` as a member (Cluster::poll_batch with this member id).
+  Consumer(Cluster& cluster, std::string group);
   ~Consumer();
 
   Consumer(const Consumer&) = delete;
   Consumer& operator=(const Consumer&) = delete;
 
-  /// Fetch up to `max` new messages on `topic`. Returned messages share
-  /// their payload bytes with the broker log (refcounted, zero-copy). A
-  /// member that has left the group fetches nothing until rejoin().
-  std::vector<Message> poll(std::string_view topic, std::size_t max);
-
-  /// Batched fetch: one FetchBatch (single topic header, per-partition
-  /// slices, no per-message allocation) instead of a vector of Message
-  /// copies. Same membership semantics as poll().
+  /// Fetch up to `max` new records of `topic` from this member's share.
+  /// Payload bytes stay shared with the broker log (refcounted, zero-copy).
+  /// A member that has left the group fetches nothing until rejoin().
   FetchBatch poll_batch(std::string_view topic, std::size_t max);
 
   /// Leave the group now (idempotent; bumps the group generation so the
@@ -47,13 +39,12 @@ class Consumer {
 
   std::uint64_t total_consumed() const noexcept { return consumed_; }
   const std::string& group() const noexcept { return group_; }
-  /// 0 for the member-less shim or after leave().
+  /// 0 after leave().
   std::uint64_t member_id() const noexcept { return member_; }
 
  private:
   Cluster& cluster_;
   std::string group_;
-  bool grouped_ = false;  // constructed as a member (poll is share-only)
   std::uint64_t member_ = 0;
   std::uint64_t consumed_ = 0;
 };

@@ -5,12 +5,10 @@
 namespace netalytics::mq {
 
 GroupCoordinator::GroupCoordinator(std::size_t brokers,
-                                   std::size_t partitions_per_broker,
-                                   AssignmentStrategy strategy)
+                                   std::size_t partitions_per_broker)
     : brokers_(brokers == 0 ? 1 : brokers),
       partitions_per_broker_(partitions_per_broker == 0 ? 1
-                                                        : partitions_per_broker),
-      strategy_(strategy) {}
+                                                        : partitions_per_broker) {}
 
 std::uint64_t GroupCoordinator::join(std::string_view group) {
   std::lock_guard lock(mutex_);
@@ -52,24 +50,11 @@ std::size_t GroupCoordinator::member_count(std::string_view group) const {
 std::vector<TopicPartition> GroupCoordinator::share(std::size_t rank,
                                                     std::size_t n) const {
   std::vector<TopicPartition> out;
-  const std::size_t total = partition_count();
-  const auto emit = [&out, this](std::size_t g) {
-    out.push_back({g / partitions_per_broker_, g % partitions_per_broker_});
-  };
-  switch (strategy_) {
-    case AssignmentStrategy::round_robin:
-      for (std::size_t g = rank; g < total; g += n) emit(g);
-      break;
-    case AssignmentStrategy::range: {
-      const std::size_t chunk = (total + n - 1) / n;
-      const std::size_t lo = std::min(rank * chunk, total);
-      const std::size_t hi = std::min(lo + chunk, total);
-      for (std::size_t g = lo; g < hi; ++g) emit(g);
-      break;
-    }
-  }
   // Global index order is (broker, partition) order already — the poll
   // iteration order every member shares.
+  for (std::size_t g = rank; g < partition_count(); g += n) {
+    out.push_back({g / partitions_per_broker_, g % partitions_per_broker_});
+  }
   return out;
 }
 

@@ -4,8 +4,9 @@
 //
 // A group is a set of members; every join or leave bumps the group's
 // generation and implicitly recomputes the assignment: a pure function of
-// the surviving members' ranks (join order), the cluster's partition grid
-// (brokers × partitions_per_topic) and the strategy. Nothing about the
+// the surviving members' ranks (join order) and the cluster's partition
+// grid (brokers × partitions_per_topic), dealt round-robin: global
+// partition index g (broker-major) goes to rank g % n. Nothing about the
 // assignment is negotiated or timed — the same membership sequence always
 // yields the same ownership map, which is what the determinism contract
 // (docs/DETERMINISM.md "Consumer-group assignment & handoff") requires.
@@ -37,21 +38,12 @@ struct TopicPartition {
   friend bool operator==(const TopicPartition&, const TopicPartition&) = default;
 };
 
-/// How partitions map onto member ranks. Both are deterministic in the
-/// member ranks; they differ only in locality:
-/// - round_robin: global partition index g goes to rank g % n (even spread,
-///   the default).
-/// - range: contiguous chunks of ceil(total/n) partitions per rank (Kafka's
-///   RangeAssignor shape).
-enum class AssignmentStrategy { round_robin, range };
-
 /// Membership registry for every consumer group of one mq::Cluster. All
 /// methods are thread-safe (one mutex — membership changes are rare and
 /// poll-path reads are a lookup, not a scan).
 class GroupCoordinator {
  public:
-  GroupCoordinator(std::size_t brokers, std::size_t partitions_per_broker,
-                   AssignmentStrategy strategy = AssignmentStrategy::round_robin);
+  GroupCoordinator(std::size_t brokers, std::size_t partitions_per_broker);
 
   /// Add a member to `group`; returns its id (> 0, unique within the group
   /// for the coordinator's lifetime, never reused) and bumps the group's
@@ -84,7 +76,6 @@ class GroupCoordinator {
   std::size_t partition_count() const noexcept {
     return brokers_ * partitions_per_broker_;
   }
-  AssignmentStrategy strategy() const noexcept { return strategy_; }
 
  private:
   struct Group {
@@ -93,13 +84,12 @@ class GroupCoordinator {
     std::uint64_t generation = 0;
   };
 
-  /// Partitions of rank `rank` out of `n` members. Caller holds mutex_ (or
-  /// the inputs are immutable config).
+  /// Partitions of rank `rank` out of `n` members (round-robin). Caller
+  /// holds mutex_ (or the inputs are immutable config).
   std::vector<TopicPartition> share(std::size_t rank, std::size_t n) const;
 
   std::size_t brokers_;
   std::size_t partitions_per_broker_;
-  AssignmentStrategy strategy_;
   mutable std::mutex mutex_;
   std::map<std::string, Group, std::less<>> groups_;
 };

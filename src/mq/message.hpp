@@ -16,7 +16,7 @@ namespace netalytics::mq {
 /// Immutable, refcounted payload buffer — the mq analogue of a
 /// net::PacketPool descriptor. A Payload is created once (adopting the
 /// producer's serialized batch without copying it) and then shared by
-/// reference: the broker's log, every poll result and every retry buffer
+/// reference: the broker's log, every fetch result and every retry buffer
 /// entry hold the same bytes, so the consume path never deep-copies.
 class Payload {
  public:
@@ -49,8 +49,8 @@ class Payload {
   bool empty() const noexcept { return size_ == 0; }
   std::byte operator[](std::size_t i) const noexcept { return data_.get()[i]; }
 
-  /// How many Payload instances share these bytes. A polled message whose
-  /// use_count() > 1 proves the poll path did not deep-copy (the broker's
+  /// How many Payload instances share these bytes. A fetched record whose
+  /// use_count() > 1 proves the fetch path did not deep-copy (the broker's
   /// log still holds the other reference) — asserted by bench_mq_throughput.
   long use_count() const noexcept { return data_.use_count(); }
 
@@ -77,11 +77,11 @@ struct Message {
   std::vector<std::uint64_t> traces;
 };
 
-/// One fetched message without the per-message header copies poll() pays:
-/// the topic lives once on the enclosing FetchBatch instead of being a
-/// fresh std::string per message, and the payload bytes stay shared with
-/// the broker log (refcounted). The only remaining allocation is `traces`,
-/// and only for the 1-in-N sampled messages that carry any.
+/// One fetched message: the Message header minus its topic (the fetch
+/// call's argument names it once for the whole batch), with the payload
+/// bytes still shared with the broker log (refcounted). The only
+/// allocation is `traces`, and only for the 1-in-N sampled messages that
+/// carry any.
 struct FetchedRecord {
   std::uint64_t key = 0;
   Payload payload;
@@ -92,23 +92,10 @@ struct FetchedRecord {
   std::vector<std::uint64_t> traces;
 };
 
-/// A contiguous run of FetchBatch::records fetched from one partition, in
-/// offset order — the "ring slice" view of a poll: consumers that care
-/// which shard data came from (per-partition ordering checks, rebalance
-/// accounting) read the slices; consumers that don't just scan `records`.
-struct PartitionSlice {
-  std::size_t broker = 0;     // filled by Cluster::poll_batch
-  std::size_t partition = 0;  // partition index within the broker
-  std::size_t begin = 0;      // [begin, end) into FetchBatch::records
-  std::size_t end = 0;
-};
-
-/// Result of a batched fetch: one topic header for the whole batch.
+/// Result of a fetch (poll_batch at every level), in fetch order.
 struct FetchBatch {
-  std::string topic;
   std::vector<FetchedRecord> records;
-  std::vector<PartitionSlice> slices;  // per-partition runs, fetch order
-  std::uint64_t total_records = 0;     // Σ records[i].records
+  std::uint64_t total_records = 0;  // Σ records[i].records
 
   bool empty() const noexcept { return records.empty(); }
   std::size_t size() const noexcept { return records.size(); }

@@ -6,9 +6,9 @@ namespace netalytics::stream {
 
 KafkaSpout::KafkaSpout(mq::Cluster& cluster, std::string group, std::string topic,
                        std::size_t poll_batch, common::FaultPlan* faults,
-                       bool join_group, std::size_t task)
+                       std::size_t task)
     : cluster_(cluster),
-      consumer_(cluster, std::move(group), join_group),
+      consumer_(cluster, std::move(group)),
       topic_(std::move(topic)),
       task_(task),
       poll_batch_(poll_batch == 0 ? 1 : poll_batch),

@@ -1,5 +1,6 @@
 // The spout linking the stream engine to the aggregation layer (§5.3):
-// polls one topic of the mq cluster and emits each message's payload as a
+// fetches one topic of the mq cluster through a consumer-group member
+// (mq::Consumer::poll_batch) and emits each record's payload as a
 // [payload:string] tuple for the parsing bolt. Pull-based, so when the
 // processors fall behind, data accumulates in the brokers — the behaviour
 // the feedback-sampling loop reacts to.
@@ -23,16 +24,15 @@ inline constexpr std::string_view kFaultSpoutPoll = "stream.spout.poll";
 
 class KafkaSpout final : public Spout {
  public:
-  /// With join_group = false (the default, matching the original
-  /// signature) the spout's consumer polls every partition. With true it
-  /// joins `group` as a coordinator member (mq/group.hpp): N spout tasks
-  /// sharing one group name split the topic's partitions deterministically
-  /// — the task-index order they are constructed in is their member-rank
-  /// order. `task` distinguishes this instance's absolute gauges
+  /// The spout's consumer joins `group` as a coordinator member
+  /// (mq/group.hpp): N spout tasks sharing one group name split the
+  /// topic's partitions deterministically — the task-index order they are
+  /// constructed in is their member-rank order — and a lone spout owns
+  /// every partition. `task` distinguishes this instance's absolute gauges
   /// (buffered_records) when several tasks bind the same metrics prefix.
   KafkaSpout(mq::Cluster& cluster, std::string group, std::string topic,
              std::size_t poll_batch = 64, common::FaultPlan* faults = nullptr,
-             bool join_group = false, std::size_t task = 0);
+             std::size_t task = 0);
 
   bool next_tuple(Collector& out, common::Timestamp now) override;
 
@@ -70,9 +70,9 @@ class KafkaSpout final : public Spout {
   std::size_t task_ = 0;
   std::size_t poll_batch_;
   common::FaultPlan* faults_;
-  // FetchedRecord, not Message: the spout consumes via the zero-copy
-  // poll_batch path, so nothing per-message (topic strings included) is
-  // allocated between broker log and tuple emission.
+  // FetchedRecord: the zero-copy fetch result, so nothing per-message
+  // (topic strings included) is allocated between broker log and tuple
+  // emission.
   std::deque<mq::FetchedRecord> buffer_;
   // Counters live in the bound (or owned fallback) registry.
   std::unique_ptr<common::MetricsRegistry> owned_metrics_;

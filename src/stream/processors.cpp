@@ -64,8 +64,7 @@ std::string add_source(TopologyBuilder& b, const ProcessorContext& ctx,
        spout_prefix, task_counter] {
         const std::size_t task = (*task_counter)++;
         auto spout = std::make_unique<KafkaSpout>(*cluster, group, topic,
-                                                  /*poll_batch=*/64, faults,
-                                                  /*join_group=*/true, task);
+                                                  /*poll_batch=*/64, faults, task);
         if (metrics != nullptr) {
           spout->bind_metrics(*metrics, spout_prefix, tracer, recorder, ledger);
         }

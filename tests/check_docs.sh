@@ -18,6 +18,10 @@
 #      src/fed/wire.hpp),
 #   7. a src/**/*.hpp or src/**/*.cpp path mentioned in the docs does not
 #      exist (so docs stop naming deleted sources).
+#   8. a backticked `Type::member` in the docs names a Type that no
+#      src/**/*.hpp header defines (class, struct or enum), or whose
+#      defining header does not contain `member` outside comments (so docs
+#      stop naming deleted or renamed API).
 #
 # Wired into tests/run_ci.sh as the `docs` lane.
 set -eu
@@ -115,6 +119,26 @@ fi
 for path in $(grep -ho 'src/[A-Za-z0-9_/]*\.\(hpp\|cpp\)' $docs | sort -u); do
   if [ ! -e "$path" ]; then
     fail "docs mention missing source file: $path"
+  fi
+done
+
+# 8. `Type::member` names in backticks must exist in the header that
+# defines Type. Comments are stripped first, so a header that only
+# mentions a deleted member in prose does not keep the name alive.
+headers=$(find src -name '*.hpp' | sort)
+for ref in $(grep -ho '`[^`]*`' $docs |
+             grep -o '[A-Z][A-Za-z0-9_]*::[A-Za-z_][A-Za-z0-9_]*' | sort -u); do
+  type=${ref%%::*}
+  member=${ref#*::}
+  found=no
+  for h in $(grep -lE "^[[:space:]]*(class|struct|enum class|enum) $type( final)?([[:space:]]*[:{]|[[:space:]]*\$)" $headers); do
+    if sed 's,//.*,,' "$h" | grep -qw -- "$member"; then
+      found=yes
+      break
+    fi
+  done
+  if [ "$found" = no ]; then
+    fail "docs name $ref, but no src/**/*.hpp defining $type declares $member"
   fi
 done
 

@@ -276,7 +276,7 @@ TEST_F(EngineTest, RenderProducesReadableRows) {
   ASSERT_TRUE(q.has_value());
   http_session("h0", "h5", "/render-me", common::kSecond);
   engine_.pump(2 * common::kSecond);
-  const std::string text = (*q)->view().render(1);
+  const std::string text = (*q)->view().render(RenderOptions{.key_fields = 1});
   EXPECT_NE(text.find("/render-me"), std::string::npos);
 }
 

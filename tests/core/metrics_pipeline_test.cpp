@@ -44,7 +44,7 @@ std::string run_identity_query(std::string& results_render) {
   http_traffic(emu, 4, common::kSecond);
   engine.pump(2 * common::kSecond);
   engine.stop_all(3 * common::kSecond);
-  results_render = (*q)->view().render(2);
+  results_render = (*q)->view().render(RenderOptions{.key_fields = 2});
   return engine.render(RenderOptions{});
 }
 

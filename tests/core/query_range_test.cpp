@@ -232,12 +232,6 @@ TEST(RenderOptionsTest, UnifiedRenderShimsAgree) {
   const auto mon_only = h.render(RenderOptions{.prefix = "mon"});
   EXPECT_NE(mon_only.find("q1.mon0.rx_packets"), std::string::npos);
   EXPECT_EQ(mon_only.find("q1.stage."), std::string::npos);
-
-  // View: the table fields drive render(opts); the legacy arity shims it.
-  ResultView view = h.view();
-  EXPECT_EQ(view.render(RenderOptions{.key_fields = 2}), view.render(2));
-  EXPECT_EQ(view.render(RenderOptions{.key_fields = 2, .max_rows = 1}),
-            view.render(2, 1));
 }
 
 }  // namespace

@@ -17,7 +17,7 @@ TEST(Broker, ProduceThenPollRoundTrip) {
   Broker broker;
   ASSERT_EQ(broker.produce(make_msg("t", 1, 10), 0), ProduceStatus::ok);
   ASSERT_EQ(broker.produce(make_msg("t", 1, 20), 0), ProduceStatus::ok);
-  const auto msgs = broker.poll("g", "t", 10);
+  const auto msgs = broker.poll_batch("g", "t", 10).records;
   ASSERT_EQ(msgs.size(), 2u);
   EXPECT_EQ(msgs[0].payload.size(), 10u);
   EXPECT_EQ(msgs[1].payload.size(), 20u);
@@ -27,29 +27,29 @@ TEST(Broker, ProduceThenPollRoundTrip) {
 TEST(Broker, OffsetsAdvancePerGroup) {
   Broker broker;
   broker.produce(make_msg("t", 1, 1), 0);
-  EXPECT_EQ(broker.poll("g", "t", 10).size(), 1u);
-  EXPECT_EQ(broker.poll("g", "t", 10).size(), 0u);  // already consumed
+  EXPECT_EQ(broker.poll_batch("g", "t", 10).size(), 1u);
+  EXPECT_EQ(broker.poll_batch("g", "t", 10).size(), 0u);  // already consumed
   broker.produce(make_msg("t", 1, 1), 0);
-  EXPECT_EQ(broker.poll("g", "t", 10).size(), 1u);
+  EXPECT_EQ(broker.poll_batch("g", "t", 10).size(), 1u);
 }
 
 TEST(Broker, IndependentConsumerGroupsReplay) {
   Broker broker;
   broker.produce(make_msg("t", 1, 1), 0);
-  EXPECT_EQ(broker.poll("g1", "t", 10).size(), 1u);
-  EXPECT_EQ(broker.poll("g2", "t", 10).size(), 1u);  // fresh group sees it too
+  EXPECT_EQ(broker.poll_batch("g1", "t", 10).size(), 1u);
+  EXPECT_EQ(broker.poll_batch("g2", "t", 10).size(), 1u);  // fresh group sees it too
 }
 
 TEST(Broker, PollRespectsMax) {
   Broker broker;
   for (int i = 0; i < 10; ++i) broker.produce(make_msg("t", 1, 1), 0);
-  EXPECT_EQ(broker.poll("g", "t", 3).size(), 3u);
-  EXPECT_EQ(broker.poll("g", "t", 100).size(), 7u);
+  EXPECT_EQ(broker.poll_batch("g", "t", 3).size(), 3u);
+  EXPECT_EQ(broker.poll_batch("g", "t", 100).size(), 7u);
 }
 
 TEST(Broker, UnknownTopicPollsEmpty) {
   Broker broker;
-  EXPECT_TRUE(broker.poll("g", "nope", 10).empty());
+  EXPECT_TRUE(broker.poll_batch("g", "nope", 10).empty());
   EXPECT_DOUBLE_EQ(broker.occupancy("nope"), 0.0);
 }
 
@@ -57,7 +57,7 @@ TEST(Broker, TopicsAreIsolated) {
   Broker broker;
   broker.produce(make_msg("a", 1, 1), 0);
   broker.produce(make_msg("b", 1, 1), 0);
-  EXPECT_EQ(broker.poll("g", "a", 10).size(), 1u);
+  EXPECT_EQ(broker.poll_batch("g", "a", 10).size(), 1u);
   EXPECT_EQ(broker.depth("b"), 1u);
 }
 
@@ -72,7 +72,7 @@ TEST(Broker, RetentionEvictsOldest) {
   EXPECT_EQ(broker.stats().dropped_retention, 6u);
   // A late consumer only sees the retained tail, starting at the oldest
   // surviving offset.
-  const auto msgs = broker.poll("late", "t", 10);
+  const auto msgs = broker.poll_batch("late", "t", 10).records;
   ASSERT_EQ(msgs.size(), 4u);
   EXPECT_EQ(msgs[0].payload.size(), 7u);  // message index 6
 }
@@ -98,13 +98,13 @@ TEST(Broker, OccupancyIsConsumerLagNotLogSize) {
   Broker broker(cfg);
   for (int i = 0; i < 8; ++i) broker.produce(make_msg("t", 1, 1), 0);
   EXPECT_NEAR(broker.occupancy("t"), 0.8, 1e-9);  // nothing consumed yet
-  broker.poll("g", "t", 6);
+  broker.poll_batch("g", "t", 6);
   EXPECT_NEAR(broker.occupancy("t"), 0.2, 1e-9);  // 2 unread
-  broker.poll("g", "t", 10);
+  broker.poll_batch("g", "t", 10);
   EXPECT_NEAR(broker.occupancy("t"), 0.0, 1e-9);  // fully drained
   // A second, slower group pins the pressure.
   broker.produce(make_msg("t", 1, 1), 0);
-  broker.poll("slow", "t", 1);  // reads from the retained tail
+  broker.poll_batch("slow", "t", 1);  // reads from the retained tail
   EXPECT_GT(broker.occupancy("t"), 0.0);
 }
 
@@ -116,7 +116,7 @@ TEST(Broker, LowBufferSignalClearsAfterConsumption) {
   ProduceStatus status = ProduceStatus::ok;
   for (int i = 0; i < 6; ++i) status = broker.produce(make_msg("t", 1, 1), 0);
   EXPECT_EQ(status, ProduceStatus::low_buffer);
-  broker.poll("g", "t", 6);
+  broker.poll_batch("g", "t", 6);
   EXPECT_EQ(broker.produce(make_msg("t", 1, 1), 0), ProduceStatus::ok);
 }
 
@@ -182,7 +182,7 @@ TEST(Broker, StatsCountProducedAndConsumed) {
   Broker broker;
   broker.produce(make_msg("t", 1, 5), 0);
   broker.produce(make_msg("t", 1, 5), 0);
-  broker.poll("g", "t", 1);
+  broker.poll_batch("g", "t", 1);
   const auto s = broker.stats();
   EXPECT_EQ(s.produced, 2u);
   EXPECT_EQ(s.consumed, 1u);
@@ -198,7 +198,7 @@ TEST(Broker, MultiplePartitionsSpreadKeys) {
     broker.produce(make_msg("t", k, 1), 0);
   }
   // All messages retrievable despite partitioning.
-  EXPECT_EQ(broker.poll("g", "t", 1000).size(), 64u);
+  EXPECT_EQ(broker.poll_batch("g", "t", 1000).size(), 64u);
   // Spread: the fullest partition holds well under everything.
   EXPECT_LT(broker.occupancy("t"), 0.5);
 }

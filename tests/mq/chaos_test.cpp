@@ -83,7 +83,7 @@ void run_soak(std::uint64_t seed) {
   };
   std::map<std::uint64_t, std::vector<Arrival>> arrivals;  // key -> in order
   const auto drain_once = [&] {
-    for (const auto& m : consumer.poll("chaos", 64)) {
+    for (const auto& m : consumer.poll_batch("chaos", 64).records) {
       arrivals[m.key].push_back({m.offset, decode_seq(m.payload)});
     }
   };
@@ -103,7 +103,7 @@ void run_soak(std::uint64_t seed) {
     now += 10 * common::kMillisecond;
     std::size_t pending = 0;
     for (auto& p : producers) pending += p->flush(now);
-    const auto batch = consumer.poll("chaos", 256);
+    const auto batch = consumer.poll_batch("chaos", 256).records;
     for (const auto& m : batch) {
       arrivals[m.key].push_back({m.offset, decode_seq(m.payload)});
     }
@@ -167,7 +167,7 @@ TEST(MqChaos, SoakIsDeterministicPerSeed) {
     std::uint64_t consumed = 0;
     for (std::uint64_t i = 0; i < 2000; ++i) {
       producer.send("t", encode_seq(i), i * common::kMillisecond);
-      consumed += consumer.poll("t", 8).size();
+      consumed += consumer.poll_batch("t", 8).size();
     }
     const auto s = cluster.aggregate_stats();
     return std::tuple{s.faulted_delay, s.faulted_duplicate, consumed};
@@ -194,17 +194,17 @@ TEST(MqChaos, BrokerDownWindowBlocksProduceAndPollThenRecovers) {
   };
   ASSERT_EQ(broker.produce(msg(0), 0), ProduceStatus::ok);
   ASSERT_EQ(broker.produce(msg(1), 0), ProduceStatus::ok);
-  ASSERT_EQ(broker.poll("g", "t", 1).size(), 1u);  // offset now at 1
+  ASSERT_EQ(broker.poll_batch("g", "t", 1).size(), 1u);  // offset now at 1
 
   // Inside the window: produce blocks, poll serves nothing, and crucially
   // the group's offset does not move.
   EXPECT_EQ(broker.produce(msg(2), common::kSecond + 1), ProduceStatus::blocked);
-  EXPECT_TRUE(broker.poll("g", "t", 10).empty());
+  EXPECT_TRUE(broker.poll_batch("g", "t", 10).empty());
   EXPECT_EQ(broker.stats().faulted_down, 2u);
 
   // After recovery the same poll resumes exactly where it left off.
   EXPECT_EQ(broker.produce(msg(2), 2 * common::kSecond), ProduceStatus::ok);
-  const auto rest = broker.poll("g", "t", 10);
+  const auto rest = broker.poll_batch("g", "t", 10).records;
   ASSERT_EQ(rest.size(), 2u);
   EXPECT_EQ(decode_seq(rest[0].payload), 1u);
   EXPECT_EQ(decode_seq(rest[1].payload), 2u);
@@ -228,7 +228,7 @@ TEST(MqChaos, DelayedDeliveryKeepsOrder) {
   std::vector<std::uint64_t> seqs;
   int polls = 0;
   while (seqs.size() < 10 && polls++ < 100) {
-    for (const auto& m : broker.poll("g", "t", 100)) {
+    for (const auto& m : broker.poll_batch("g", "t", 100).records) {
       seqs.push_back(decode_seq(m.payload));
     }
   }
@@ -253,7 +253,7 @@ TEST(MqChaos, DuplicatesAreAdjacentAndShareTheOffset) {
     m.payload = encode_seq(i);
     broker.produce(std::move(m), 0);
   }
-  const auto msgs = broker.poll("g", "t", 100);
+  const auto msgs = broker.poll_batch("g", "t", 100).records;
   ASSERT_EQ(msgs.size(), 9u);  // 6 originals + every 2nd re-delivered
   std::set<std::uint64_t> offsets;
   for (std::size_t i = 0; i < msgs.size(); ++i) {
@@ -291,7 +291,7 @@ TEST(MqChaos, ProduceRejectionIsRetriedElsewhereInTime) {
   }
   EXPECT_EQ(producer.stats().lost, 0u);
   Consumer consumer(cluster, "g");
-  ASSERT_EQ(consumer.poll("t", 10).size(), 1u);
+  ASSERT_EQ(consumer.poll_batch("t", 10).size(), 1u);
   EXPECT_EQ(cluster.aggregate_stats().faulted_reject, 2u);
 }
 
@@ -321,7 +321,7 @@ TEST(MqChaos, MidBatchRejectKeepsAtLeastOnceAndPerKeyOrder) {
   for (std::uint64_t i = 0; i < kMessages; ++i) {
     ASSERT_TRUE(producer.send("t", encode_seq(i), now));
     now += common::kMillisecond;
-    for (const auto& m : consumer.poll("t", 32)) {
+    for (const auto& m : consumer.poll_batch("t", 32).records) {
       seqs.push_back(decode_seq(m.payload));
     }
   }
@@ -329,7 +329,7 @@ TEST(MqChaos, MidBatchRejectKeepsAtLeastOnceAndPerKeyOrder) {
   while (idle < 5) {
     now += 10 * common::kMillisecond;
     const std::size_t left = producer.drain(now);
-    const auto msgs = consumer.poll("t", 256);
+    const auto msgs = consumer.poll_batch("t", 256).records;
     for (const auto& m : msgs) seqs.push_back(decode_seq(m.payload));
     idle = (left == 0 && msgs.empty()) ? idle + 1 : 0;
     ASSERT_LT(now, common::Timestamp{30} * common::kSecond) << "did not drain";

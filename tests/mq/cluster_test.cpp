@@ -40,15 +40,15 @@ TEST(Cluster, SameKeyAlwaysSameBroker) {
 TEST(Cluster, PollGathersFromAllBrokers) {
   Cluster cluster(3);
   for (std::uint64_t k = 0; k < 30; ++k) cluster.produce(make_msg("t", k), 0);
-  const auto msgs = cluster.poll("g", "t", 100);
+  const auto msgs = cluster.poll_batch("g", "t", 100).records;
   EXPECT_EQ(msgs.size(), 30u);
-  EXPECT_TRUE(cluster.poll("g", "t", 100).empty());
+  EXPECT_TRUE(cluster.poll_batch("g", "t", 100).empty());
 }
 
 TEST(Cluster, PollRespectsMaxAcrossBrokers) {
   Cluster cluster(3);
   for (std::uint64_t k = 0; k < 30; ++k) cluster.produce(make_msg("t", k), 0);
-  EXPECT_EQ(cluster.poll("g", "t", 7).size(), 7u);
+  EXPECT_EQ(cluster.poll_batch("g", "t", 7).size(), 7u);
 }
 
 TEST(Cluster, ZeroBrokersClampedToOne) {
@@ -60,7 +60,7 @@ TEST(Cluster, ZeroBrokersClampedToOne) {
 TEST(Cluster, AggregateStatsSumBrokers) {
   Cluster cluster(2);
   for (std::uint64_t k = 0; k < 10; ++k) cluster.produce(make_msg("t", k), 0);
-  cluster.poll("g", "t", 4);
+  cluster.poll_batch("g", "t", 4);
   const auto s = cluster.aggregate_stats();
   EXPECT_EQ(s.produced, 10u);
   EXPECT_EQ(s.consumed, 4u);

@@ -73,7 +73,7 @@ TEST(ConcurrentBroker, ParallelBatchProducersKeepPerKeyOrder) {
       by_key;  // key -> (offset, seq) in arrival order
   std::size_t total = 0;
   for (;;) {
-    const auto msgs = broker.poll("g", "t", 512);
+    const auto msgs = broker.poll_batch("g", "t", 512).records;
     if (msgs.empty()) break;
     total += msgs.size();
     for (const auto& m : msgs) by_key[m.key].emplace_back(m.offset, decode_seq(m.payload));
@@ -106,7 +106,7 @@ TEST(ConcurrentBroker, ProducersAndConsumerOverlapWithoutLoss) {
   std::atomic<bool> done{false};
   Consumer consumer(cluster, "live");
   const auto drain = [&] {
-    for (const auto& m : consumer.poll("t", 256)) {
+    for (const auto& m : consumer.poll_batch("t", 256).records) {
       seqs[m.key].push_back(decode_seq(m.payload));
       ++consumed;
     }

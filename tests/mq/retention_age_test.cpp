@@ -37,7 +37,7 @@ TEST(RetentionAge, ExpiredMessagesAreEvictedOnProduce) {
   // At now=1700 the first two (append_ts 0 and 500) have expired.
   ASSERT_EQ(broker.produce(make_msg("t", 1), 1700), ProduceStatus::ok);
   EXPECT_EQ(broker.stats().dropped_retention, 2u);
-  const auto msgs = broker.poll("g", "t", 10);
+  const auto msgs = broker.poll_batch("g", "t", 10).records;
   ASSERT_EQ(msgs.size(), 2u);
   EXPECT_EQ(msgs[0].append_ts, 900u);
 }
@@ -47,7 +47,7 @@ TEST(RetentionAge, ZeroDisablesAgeEviction) {
   broker.produce(make_msg("t", 1), 0);
   broker.produce(make_msg("t", 1), 1u << 30);
   EXPECT_EQ(broker.stats().dropped_retention, 0u);
-  EXPECT_EQ(broker.poll("g", "t", 10).size(), 2u);
+  EXPECT_EQ(broker.poll_batch("g", "t", 10).size(), 2u);
 }
 
 TEST(RetentionAge, ReadEvictionsAreNotCountedAsLost) {
@@ -57,7 +57,7 @@ TEST(RetentionAge, ReadEvictionsAreNotCountedAsLost) {
   broker.set_drop_ledger(&ledger);
 
   broker.produce(make_msg("t", 1, /*records=*/5), 0);
-  ASSERT_EQ(broker.poll("g", "t", 10).size(), 1u);  // consumed before expiry
+  ASSERT_EQ(broker.poll_batch("g", "t", 10).size(), 1u);  // consumed before expiry
   broker.produce(make_msg("t", 1), 5000);           // expires the first one
   EXPECT_EQ(broker.stats().dropped_retention, 1u);
   EXPECT_EQ(broker.stats().evicted_unread_records, 0u);
@@ -82,8 +82,8 @@ TEST(RetentionAge, SlowestGroupDefinesUnread) {
   Broker broker(aged(1000));
   broker.produce(make_msg("t", 1), 0);
   broker.produce(make_msg("t", 1, /*records=*/4), 100);
-  ASSERT_EQ(broker.poll("fast", "t", 10).size(), 2u);
-  ASSERT_EQ(broker.poll("slow", "t", 1).size(), 1u);  // stops before msg 2
+  ASSERT_EQ(broker.poll_batch("fast", "t", 10).size(), 2u);
+  ASSERT_EQ(broker.poll_batch("slow", "t", 1).size(), 1u);  // stops before msg 2
   broker.produce(make_msg("t", 1), 5000);  // expires both
   // Everyone read message 1; "slow" never read message 2, so only its
   // records count as lost.
@@ -114,9 +114,9 @@ TEST(RetentionAge, UnreadRecordsReportsBacklogPerTopic) {
               ProduceStatus::ok);
   }
   EXPECT_EQ(cluster.unread_records("t"), 16u);
-  (void)cluster.poll("g", "t", 3);
+  (void)cluster.poll_batch("g", "t", 3);
   EXPECT_EQ(cluster.unread_records("t"), 10u);
-  (void)cluster.poll("g", "t", 100);
+  (void)cluster.poll_batch("g", "t", 100);
   EXPECT_EQ(cluster.unread_records("t"), 0u);
   EXPECT_EQ(cluster.unread_records("other"), 0u);
 }
@@ -130,13 +130,13 @@ TEST(RetentionAge, GroupMemberBehindRetentionHorizonResumesAtLogHead) {
   Cluster cluster(1, aged(1000));
   cluster.set_drop_ledger(&ledger);
 
-  Consumer first(cluster, "g", /*join_group=*/true);
+  Consumer first(cluster, "g");
   for (std::uint64_t key = 0; key < 4; ++key) {
     ASSERT_EQ(cluster.produce(make_msg("t", key, /*records=*/2), 0),
               ProduceStatus::ok);
   }
   // The member reads only part of the backlog, then stalls.
-  ASSERT_EQ(first.poll("t", 1).size(), 1u);
+  ASSERT_EQ(first.poll_batch("t", 1).size(), 1u);
 
   // While the cursor lags, the unread remainder ages past retention_age
   // (evicted on the next produce). 3 messages * 2 records were unread.
@@ -149,8 +149,8 @@ TEST(RetentionAge, GroupMemberBehindRetentionHorizonResumesAtLogHead) {
   // Rebalance: the stalled member leaves and a fresh one inherits the
   // group cursor — now older than the log head.
   first.leave();
-  Consumer second(cluster, "g", /*join_group=*/true);
-  const auto resumed = second.poll("t", 100);
+  Consumer second(cluster, "g");
+  const auto resumed = second.poll_batch("t", 100).records;
   // It resumes at the head: exactly the 4 live messages, nothing replayed.
   EXPECT_EQ(resumed.size(), 4u);
   for (const auto& m : resumed) EXPECT_EQ(m.append_ts, 5000u);

@@ -4,7 +4,8 @@
 # src/mq, src/stream, src/tsdb and src/obs (the aggregation layer, the
 # stream engine, the tiered time-series store, and the export layer),
 # plus per-file floors for both topology executors and the task graph
-# they share, every export-layer source, and every federation source
+# they share, the fetch path (mq cluster/consumer/group and the Kafka
+# spout), every export-layer source, and every federation source
 # (docs/FEDERATION.md). The lane
 # FAILS if any module drops below its recorded baseline, so coverage can
 # only ratchet up.
@@ -38,6 +39,14 @@ obs_file_baseline=85
 # Per-file floor for every federation source: protocol code ships with
 # its chaos/differential suites or not at all.
 fed_file_baseline=85
+# Per-file floors for the one fetch path (cluster fan-out, the
+# group-member consumer, the coordinator, the spout), measured at
+# cluster 100%, consumer 100%, group 98%, kafka_spout 100%, minus a
+# margin.
+cluster_file_baseline=95
+consumer_file_baseline=95
+group_file_baseline=93
+spout_file_baseline=95
 
 cmake -B "$build_dir" -S "$repo_root" \
   -DCMAKE_BUILD_TYPE=Debug \
@@ -139,6 +148,10 @@ gate_file src/stream/free_running.cpp "$executor_file_baseline" || status=1
 gate_file src/stream/executor.cpp "$executor_file_baseline" || status=1
 gate_file src/stream/stepped.cpp "$executor_file_baseline" || status=1
 gate_file src/stream/task_graph.cpp "$executor_file_baseline" || status=1
+gate_file src/mq/cluster.cpp "$cluster_file_baseline" || status=1
+gate_file src/mq/consumer.cpp "$consumer_file_baseline" || status=1
+gate_file src/mq/group.cpp "$group_file_baseline" || status=1
+gate_file src/stream/kafka_spout.cpp "$spout_file_baseline" || status=1
 for obs_src in src/obs/*.cpp; do
   gate_file "$obs_src" "$obs_file_baseline" || status=1
 done
