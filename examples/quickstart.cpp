@@ -94,9 +94,9 @@ int main() {
 
   // 8. Self-observability: everything this query did — monitor counters,
   //    producer/broker traffic, per-stage latency histograms — is in the
-  //    engine's metrics registry, rendered Prometheus-style.
+  //    engine's metrics registry, exported in Prometheus text format.
   std::printf("\nper-query metrics (excerpt):\n");
-  const std::string metrics = query->render(core::RenderOptions{});
+  const std::string metrics = query->export_metrics();
   std::size_t lines = 0, pos = 0;
   while (lines < 8 && pos < metrics.size()) {
     const auto eol = metrics.find('\n', pos);
@@ -104,7 +104,7 @@ int main() {
     pos = eol + 1;
     ++lines;
   }
-  std::printf("  ... (%zu chars total; engine.render({}) adds brokers)\n",
+  std::printf("  ... (%zu chars total; engine.export_metrics() adds brokers)\n",
               metrics.size());
   return 0;
 }

@@ -1,7 +1,6 @@
-// Time sources. NetAlytics runs in two modes: live (wall clock, used by the
-// threaded monitor and stream cluster) and simulated (virtual nanoseconds,
-// used by the use-case emulations and the placement simulator so results
-// are deterministic).
+// Time. Everything that decides results runs on virtual nanoseconds (the
+// engine, the use-case emulations, the placement simulator), so runs are
+// deterministic; the one wall clock below is for instrumentation only.
 #pragma once
 
 #include <chrono>
@@ -31,33 +30,14 @@ constexpr Duration from_millis(double ms) noexcept {
   return static_cast<Duration>(ms * static_cast<double>(kMillisecond));
 }
 
-/// Abstract clock so components can run against wall time or virtual time.
-class Clock {
- public:
-  virtual ~Clock() = default;
-  virtual Timestamp now() const noexcept = 0;
-};
-
-/// Monotonic wall clock.
-class WallClock final : public Clock {
- public:
-  Timestamp now() const noexcept override {
-    return static_cast<Timestamp>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-  }
-};
-
-/// Manually-advanced clock for deterministic simulation.
-class SimClock final : public Clock {
- public:
-  Timestamp now() const noexcept override { return now_; }
-  void advance(Duration d) noexcept { now_ += d; }
-  void set(Timestamp t) noexcept { now_ = t; }
-
- private:
-  Timestamp now_ = 0;
-};
+/// Monotonic wall clock in nanoseconds. Only instrumentation reads it (the
+/// threaded monitor's parse-time histogram, the executor stage profiler);
+/// virtual-time paths never do.
+inline Timestamp wall_now_ns() noexcept {
+  return static_cast<Timestamp>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
 
 }  // namespace netalytics::common

@@ -73,51 +73,6 @@ const MetricsSnapshot::HistogramSample* MetricsSnapshot::find_histogram(
   return nullptr;
 }
 
-std::string MetricsSnapshot::render() const {
-  // Globally sorted by name across all three kinds (each vector is already
-  // name-sorted, so this is a three-way merge): the output is diff-stable —
-  // the same series always renders at the same place, and two identical
-  // virtual-time runs produce byte-identical text.
-  std::string out;
-  std::size_t ci = 0, gi = 0, hi = 0;
-  const auto emit_line = [&out](const std::string& name, std::string value) {
-    out += name;
-    out += ' ';
-    out += value;
-    out += '\n';
-  };
-  while (ci < counters.size() || gi < gauges.size() || hi < histograms.size()) {
-    static const std::string kSentinel(1, '\x7f');
-    const std::string& cn = ci < counters.size() ? counters[ci].name : kSentinel;
-    const std::string& gn = gi < gauges.size() ? gauges[gi].name : kSentinel;
-    const std::string& hn =
-        hi < histograms.size() ? histograms[hi].name : kSentinel;
-    if (cn <= gn && cn <= hn) {
-      emit_line(cn, std::to_string(counters[ci].value));
-      ++ci;
-    } else if (gn <= hn) {
-      emit_line(gn, std::to_string(gauges[gi].value));
-      ++gi;
-    } else {
-      const auto& h = histograms[hi];
-      std::uint64_t cumulative = 0;
-      for (std::size_t i = 0; i < h.buckets.size(); ++i) {
-        cumulative += h.buckets[i];
-        out += h.name;
-        out += "{le=\"";
-        out += i < h.bounds.size() ? std::to_string(h.bounds[i]) : "+Inf";
-        out += "\"} ";
-        out += std::to_string(cumulative);
-        out += '\n';
-      }
-      emit_line(h.name + "_sum", std::to_string(h.sum));
-      emit_line(h.name + "_count", std::to_string(h.count));
-      ++hi;
-    }
-  }
-  return out;
-}
-
 Counter& MetricsRegistry::counter(const std::string& name) {
   std::lock_guard lock(mutex_);
   auto& slot = counters_[name];
@@ -165,10 +120,6 @@ MetricsSnapshot MetricsRegistry::snapshot(std::string_view prefix) const {
     snap.histograms.push_back(std::move(s));
   }
   return snap;  // std::map iteration is already name-sorted
-}
-
-std::string MetricsRegistry::render_text(std::string_view prefix) const {
-  return snapshot(prefix).render();
 }
 
 MetricsRegistry& MetricsRegistry::global() {

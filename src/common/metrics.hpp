@@ -108,7 +108,9 @@ class HistogramMetric {
 /// decade — wide enough for both per-packet costs and broker residency.
 const std::vector<std::uint64_t>& default_latency_bounds();
 
-/// Point-in-time copy of a registry, sorted by name within each kind.
+/// Point-in-time copy of a registry, sorted by name within each kind. Its
+/// text forms live in src/obs (Prometheus exposition, collapsed stacks);
+/// tests compare snapshots directly.
 struct MetricsSnapshot {
   struct CounterSample {
     std::string name;
@@ -139,12 +141,6 @@ struct MetricsSnapshot {
   std::int64_t gauge_value(std::string_view name) const;
   const HistogramSample* find_histogram(std::string_view name) const;
 
-  /// Plain-text, Prometheus-style rendering with all series merged in
-  /// sorted name order (diff-stable): "name value" lines, histogram buckets
-  /// cumulative as name{le="<ns>"} ending in a +Inf bucket, plus _sum and
-  /// _count.
-  std::string render() const;
-
   bool operator==(const MetricsSnapshot&) const = default;
 };
 
@@ -166,7 +162,6 @@ class MetricsRegistry {
 
   /// Copy out everything whose name starts with `prefix` ("" = all).
   MetricsSnapshot snapshot(std::string_view prefix = {}) const;
-  std::string render_text(std::string_view prefix = {}) const;
 
   /// Process-wide fallback registry for components used standalone (outside
   /// an engine, which owns its own registry).

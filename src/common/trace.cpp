@@ -1,7 +1,6 @@
 #include "common/trace.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
 namespace netalytics::common {
 
@@ -70,14 +69,12 @@ TraceRecorder::Slab* TraceRecorder::local_slab() const {
   return slab;
 }
 
-TraceContext TraceRecorder::begin(std::uint64_t flow_hash,
-                                  Timestamp ts) noexcept {
-  TraceContext ctx;
-  if (!sample(flow_hash ^ mix64(ts))) return ctx;
-  ctx.id = trace_id(flow_hash, ts);
-  ctx.mark(TraceStage::ingest);
-  stamp(ctx.id, TraceStage::ingest, ts, ts);
-  return ctx;
+std::uint64_t TraceRecorder::begin(std::uint64_t flow_hash,
+                                   Timestamp ts) noexcept {
+  if (!sample(flow_hash ^ mix64(ts))) return 0;
+  const std::uint64_t id = trace_id(flow_hash, ts);
+  stamp(id, TraceStage::ingest, ts, ts);
+  return id;
 }
 
 void TraceRecorder::stamp(std::uint64_t trace, TraceStage stage,
@@ -129,55 +126,6 @@ std::uint64_t TraceRecorder::dropped_spans() const {
     n += slab->dropped.load(std::memory_order_relaxed);
   }
   return n;
-}
-
-std::string TraceRecorder::render(std::size_t max_traces) const {
-  const auto spans = collect();
-  std::string out;
-  std::size_t traces = 0;
-  std::uint64_t current = 0;
-  std::uint8_t stages = 0;
-  std::string block;
-  const auto flush_block = [&] {
-    if (block.empty()) return;
-    out += "trace ";
-    char hex[17];
-    std::snprintf(hex, sizeof hex, "%016llx",
-                  static_cast<unsigned long long>(current));
-    out += hex;
-    out += " stages=";
-    for (std::size_t i = 0; i < kTraceStageCount; ++i) {
-      out += ((stages >> i) & 1u) ? '1' : '.';
-    }
-    out += '\n';
-    out += block;
-    block.clear();
-  };
-  for (const auto& s : spans) {
-    if (s.trace != current || block.empty()) {
-      if (s.trace != current && !block.empty()) {
-        flush_block();
-        if (++traces >= max_traces) {
-          out += "...\n";
-          return out;
-        }
-      }
-      current = s.trace;
-      stages = 0;
-    }
-    stages |= static_cast<std::uint8_t>(1u << static_cast<unsigned>(s.stage));
-    block += "  ";
-    block += trace_stage_name(s.stage);
-    block += " [";
-    block += std::to_string(s.start);
-    block += " ";
-    block += std::to_string(s.end);
-    block += "] +";
-    block += std::to_string(s.end >= s.start ? s.end - s.start : 0);
-    block += '\n';
-  }
-  flush_block();
-  return out;
 }
 
 // ------------------------------------------------------------------ ledger

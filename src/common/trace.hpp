@@ -7,7 +7,8 @@
 //    carried through record serialization, mq messages and stream tuples;
 //    every hand-off emits a virtual-time TraceSpan into a lock-free
 //    per-thread span buffer. collect() merges and content-sorts the spans,
-//    so two identical virtual-time runs render identical timelines.
+//    so two identical virtual-time runs collect identical spans;
+//    obs::ChromeTraceExporter is their text form.
 //
 //  * DropLedger — unsampled, always-on conservation accounting. Every
 //    discard site in the pipeline increments a per-cause counter in the
@@ -30,7 +31,6 @@
 namespace netalytics::common {
 
 /// Pipeline hand-off points a trace id passes through, in pipeline order.
-/// Also the bit positions of TraceContext::stages.
 enum class TraceStage : std::uint8_t {
   ingest,   // packet admitted by the monitor (decode + sampler passed)
   emit,     // parser record left the monitor in a shipped batch
@@ -41,22 +41,6 @@ enum class TraceStage : std::uint8_t {
 };
 inline constexpr std::size_t kTraceStageCount = 6;
 std::string_view trace_stage_name(TraceStage s) noexcept;
-
-/// The provenance token stamped onto a sampled packet: the trace id travels
-/// with the data (record wire format, mq message, stream tuple); the stage
-/// bitmap records which hand-offs this context has witnessed locally.
-struct TraceContext {
-  std::uint64_t id = 0;
-  std::uint8_t stages = 0;  // bit i == stage i seen
-
-  bool sampled() const noexcept { return id != 0; }
-  void mark(TraceStage s) noexcept {
-    stages |= static_cast<std::uint8_t>(1u << static_cast<unsigned>(s));
-  }
-  bool seen(TraceStage s) const noexcept {
-    return (stages >> static_cast<unsigned>(s)) & 1u;
-  }
-};
 
 /// One virtual-time interval of one trace at one stage.
 struct TraceSpan {
@@ -110,9 +94,9 @@ class TraceRecorder {
     return id == 0 ? 1 : id;
   }
 
-  /// Begin a trace for an admitted packet (ingest span stamped), or return
-  /// an unsampled context.
-  TraceContext begin(std::uint64_t flow_hash, Timestamp ts) noexcept;
+  /// Begin a trace for an admitted packet (ingest span stamped) and return
+  /// its id, or 0 when the packet is not sampled.
+  std::uint64_t begin(std::uint64_t flow_hash, Timestamp ts) noexcept;
 
   /// Record one span. No-op when disabled or trace == 0.
   void stamp(std::uint64_t trace, TraceStage stage, Timestamp start,
@@ -123,11 +107,6 @@ class TraceRecorder {
   std::size_t span_count() const;
   /// Spans rejected because a thread's slab filled up.
   std::uint64_t dropped_spans() const;
-
-  /// Per-trace timelines: one block per trace id (at most `max_traces`,
-  /// smallest ids first), one line per span with stage, [start end] and
-  /// duration, plus the stage bitmap reconstructed from the spans.
-  std::string render(std::size_t max_traces = 16) const;
 
  private:
   struct Slab;

@@ -16,6 +16,9 @@ namespace netalytics::core {
 
 namespace {
 
+/// OpenFlow priority of every mirror rule a query installs.
+constexpr int kMirrorRulePriority = 10;
+
 /// Suffix after the last '.' — "q1.mon0.rx_packets" -> "rx_packets".
 std::string_view leaf_name(std::string_view name) {
   const auto dot = name.rfind('.');
@@ -204,12 +207,6 @@ double QueryHandle::sample_rate() const {
   return monitors.front()->sample_rate();
 }
 
-std::string QueryHandle::render(const RenderOptions& opts) const {
-  if (registry_ == nullptr) return {};
-  // Trailing dot so "q1." never matches "q10.*".
-  return registry_->render_text(metrics_prefix_ + "." + std::string(opts.prefix));
-}
-
 std::string QueryHandle::export_chrome_trace() const {
   obs::ChromeTraceOptions options;
   options.pid = id_;
@@ -365,7 +362,7 @@ void NetAlytics::deploy_monitors(QueryHandle& q, common::Timestamp now) {
       for (const auto& match : {fwd, rev}) {
         const auto cookie = emu_.controller().install_mirror(
             Emulation::switch_id(mp.tor), match, Emulation::kDeliveryPort, port,
-            config_.mirror_rule_priority, now, q.plan_.duration);
+            kMirrorRulePriority, now, q.plan_.duration);
         if (cookie) {
           q.rule_cookies.emplace_back(Emulation::switch_id(mp.tor), *cookie);
         }

@@ -67,7 +67,6 @@ struct EngineConfig {
   double feedback_low_occupancy = 0.1;
   /// Monitor tuning knobs applied to every deployed monitor.
   std::size_t monitor_output_batch = 32;
-  int mirror_rule_priority = 10;
   /// Retry/backoff policy for every monitor's producer (at-least-once
   /// delivery into the aggregation layer).
   mq::RetryPolicy producer_retry{};
@@ -92,7 +91,7 @@ struct EngineConfig {
   /// Executor stage profiler (docs/OBSERVABILITY.md): per-task wall-clock
   /// self-time / queue-wait / pool-event counters published under
   /// "q<id>.proc<i>.profiler.*". Off by default — wall-clock series are
-  /// excluded from the deterministic render contract — and rejected by
+  /// excluded from the determinism contract — and rejected by
   /// validate() in a NETALYTICS_NO_METRICS build.
   bool executor_profiler = false;
   /// Export-layer knobs (src/obs/): the Prometheus metric-family prefix
@@ -196,18 +195,6 @@ class QueryHandle {
   }
   /// Always-on per-cause discard counters ("q<id>.drop.*").
   const common::DropLedger& drop_ledger() const noexcept { return *ledger_; }
-  /// Per-trace span timelines from the flight recorder (empty when tracing
-  /// is disabled).
-  std::string render_trace(std::size_t max_traces = 16) const {
-    return recorder_->render(max_traces);
-  }
-
-  /// Unified render entry point: Prometheus-style rendering of this
-  /// query's slice of the engine registry ("q<id>." + opts.prefix —
-  /// monitor counters, producer counters, processor counters, stage
-  /// histograms). Table rendering of results lives on view().render().
-  std::string render(const RenderOptions& opts) const;
-
   // Export layer (src/obs/, docs/OBSERVABILITY.md). All three are pure
   // functions of deterministic inputs, so repeated calls (and stepped-mode
   // runs at any worker count) produce byte-identical output.
@@ -311,12 +298,6 @@ class NetAlytics {
   RangeResult query_range(const RangeQuery& q) const;
   /// The store itself, for stats (compression ratio, eviction counts).
   const tsdb::TieredStore& timeseries_store() const noexcept { return store_; }
-
-  /// Unified render entry point: Prometheus-style dump of the registry
-  /// filtered to names starting with opts.prefix (table fields unused).
-  std::string render(const RenderOptions& opts) const {
-    return metrics_.render_text(opts.prefix);
-  }
 
   /// Prometheus text exposition of the whole registry (optionally filtered
   /// to names starting with `prefix`), using EngineConfig::obs_export for

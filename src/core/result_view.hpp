@@ -13,13 +13,10 @@
 
 namespace netalytics::core {
 
-/// Options for the unified render(opts) entry points (NetAlytics::render,
-/// QueryHandle::render, ResultView::render). One struct serves both render
-/// families: metrics renders honour `prefix` (a name filter under the
-/// object's scope) and ignore the table fields; table renders honour
-/// `key_fields`/`max_rows` and ignore `prefix`.
+/// Options for ResultView::render, the result table. Metrics and spans
+/// have their text forms in the export layer (QueryHandle::export_metrics,
+/// export_chrome_trace).
 struct RenderOptions {
-  std::string_view prefix{};
   std::size_t key_fields = 1;
   std::size_t max_rows = 50;
 };
@@ -40,7 +37,7 @@ class ResultView {
   std::vector<stream::Tuple> latest(std::size_t key_fields) const;
 
   /// Plain-text rendering of latest(): one formatted tuple per line,
-  /// truncated with "..." past opts.max_rows (opts.prefix is unused here).
+  /// truncated with "..." past opts.max_rows.
   std::string render(const RenderOptions& opts) const;
 
  private:

@@ -191,9 +191,8 @@ void Monitor::collector_loop() {
       }
       std::uint64_t trace = 0;
       if (config_.trace_recorder != nullptr) {
-        trace = config_.trace_recorder
-                    ->begin(decoded->bidirectional_flow_hash, decoded->timestamp)
-                    .id;
+        trace = config_.trace_recorder->begin(decoded->bidirectional_flow_hash,
+                                              decoded->timestamp);
       }
       dispatch(pkt, *decoded, trace);
       pkt.reset();
@@ -202,14 +201,13 @@ void Monitor::collector_loop() {
 }
 
 void Monitor::worker_loop(Worker& w) {
-  common::WallClock clock;
   std::vector<WorkItem> burst(config_.burst_size);
-  common::Timestamp last_tick = clock.now();
+  common::Timestamp last_tick = common::wall_now_ns();
   while (true) {
     const std::size_t n = w.ring->try_pop_bulk(burst);
     if (n == 0) {
       if (collector_done_.load(std::memory_order_acquire)) break;
-      const common::Timestamp now = clock.now();
+      const common::Timestamp now = common::wall_now_ns();
       if (now - last_tick >= config_.tick_interval) {
         w.parser->on_tick(now, *w.output);
         w.output->flush();
@@ -220,16 +218,16 @@ void Monitor::worker_loop(Worker& w) {
     }
     // Wall-clock parse-time histogram: threaded mode only, so the virtual-
     // time (inline) paths stay clock-free and deterministic.
-    const common::Timestamp t0 = clock.now();
+    const common::Timestamp t0 = common::wall_now_ns();
     for (std::size_t i = 0; i < n; ++i) {
       WorkItem& item = burst[i];
       parse_guarded(w, item.decoded, item.pkt->size(), item.trace);
       item.pkt.reset();
     }
-    const common::Timestamp t1 = clock.now();
+    const common::Timestamp t1 = common::wall_now_ns();
     if (t1 > t0) parse_time_->observe((t1 - t0) / n);
   }
-  w.parser->on_close(clock.now(), *w.output);
+  w.parser->on_close(common::wall_now_ns(), *w.output);
   w.output->flush();
 }
 
@@ -251,9 +249,7 @@ void Monitor::process(std::span<const std::byte> frame, common::Timestamp ts) {
   }
   std::uint64_t trace = 0;
   if (config_.trace_recorder != nullptr) {
-    trace = config_.trace_recorder
-                ->begin(decoded->bidirectional_flow_hash, ts)
-                .id;
+    trace = config_.trace_recorder->begin(decoded->bidirectional_flow_hash, ts);
   }
   for (auto& group : groups_) {
     const std::size_t idx =

@@ -54,6 +54,11 @@ common::Expected<ValidatedQuery> validate(Query query) {
         std::find(topics.begin(), topics.end(), "tcp_conn_time") == topics.end()) {
       return err("processor '" + p.name + "' requires the tcp_conn_time parser");
     }
+    // Numeric arguments are user input: reject the malformed ones here,
+    // before anything is deployed, exactly as build_processor would.
+    const stream::ProcessorParams params{p.args};
+    if (auto k = params.get_u64("k", 0); !k) return k.error();
+    if (auto w = params.get_ticks("w", 0); !w) return w.error();
     if (p.name == "diff-group" || p.name == "diff-group-avg") {
       const auto group = p.args.find("group");
       if (group != p.args.end() && group->second == "get" &&

@@ -50,30 +50,4 @@ std::string FanInTopK::render() const {
   return out;
 }
 
-FanInSpout::FanInSpout(std::size_t sources) : queues_(sources) {
-  if (sources == 0) {
-    throw std::invalid_argument("FanInSpout: sources must be > 0");
-  }
-}
-
-void FanInSpout::push(std::size_t source, Tuple tuple) {
-  queues_.at(source).push_back(std::move(tuple));
-}
-
-bool FanInSpout::next_tuple(Collector& out, common::Timestamp /*now*/) {
-  for (auto& q : queues_) {
-    if (q.empty()) continue;
-    out.emit(std::move(q.front()));
-    q.pop_front();
-    return true;
-  }
-  return false;
-}
-
-std::size_t FanInSpout::buffered() const noexcept {
-  std::size_t n = 0;
-  for (const auto& q : queues_) n += q.size();
-  return n;
-}
-
 }  // namespace netalytics::stream

@@ -1,18 +1,15 @@
-// Fan-in primitives for multi-stream merge (the federation parent's global
-// topology stage, docs/FEDERATION.md): N indexed sub-streams — one per
-// child engine — feed a single downstream consumer. Determinism rule:
-// whenever per-source state is folded into a global view, sources are
-// visited in source-index order, extending the executor contract
-// (docs/DETERMINISM.md) across node boundaries.
+// Fan-in merge for the federation parent's global top-k
+// (docs/FEDERATION.md): N indexed sources — one per child engine — fold
+// into one global view. Determinism rule: sources are visited in
+// source-index order, extending the executor contract (docs/DETERMINISM.md)
+// across node boundaries.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <string>
 #include <vector>
 
-#include "stream/topology.hpp"
 #include "stream/window.hpp"
 
 namespace netalytics::stream {
@@ -46,26 +43,6 @@ class FanInTopK {
   std::vector<std::map<std::string, std::uint64_t>> counts_;
   std::size_t k_;
   std::uint64_t updates_ = 0;
-};
-
-/// A Spout over N externally-fed queues, drained in source-index order: the
-/// bridge between a fan-in receiver (the federation parent) and a stream
-/// topology. push() enqueues a tuple under its source; next_tuple() emits
-/// the head of the lowest-indexed non-empty queue, so the tuple order seen
-/// downstream is a pure function of queue contents — independent of the
-/// interleaving in which sources were fed between polls.
-class FanInSpout final : public Spout {
- public:
-  explicit FanInSpout(std::size_t sources);
-
-  void push(std::size_t source, Tuple tuple);
-
-  bool next_tuple(Collector& out, common::Timestamp now) override;
-
-  std::size_t buffered() const noexcept;
-
- private:
-  std::vector<std::deque<Tuple>> queues_;
 };
 
 }  // namespace netalytics::stream

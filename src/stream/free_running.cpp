@@ -81,7 +81,7 @@ void FreeRunningTopology::enqueue(std::size_t t, Tuple tuple) {
   }
   if (graph_.profiling() &&
       slot.pending_since_ns.load(std::memory_order_relaxed) == 0) {
-    slot.pending_since_ns.store(profiler_now_ns(), std::memory_order_relaxed);
+    slot.pending_since_ns.store(common::wall_now_ns(), std::memory_order_relaxed);
   }
   wake_workers();
 }
@@ -93,7 +93,7 @@ std::size_t FreeRunningTopology::execute_chunk(std::size_t t, std::size_t limit)
   TaskGraph::TaskProf* prof = graph_.prof(t);
   std::uint64_t t0 = 0;
   if (prof != nullptr) {
-    t0 = profiler_now_ns();
+    t0 = common::wall_now_ns();
     const std::uint64_t pending =
         slot.pending_since_ns.exchange(0, std::memory_order_relaxed);
     if (pending != 0 && t0 > pending) {
@@ -119,7 +119,7 @@ std::size_t FreeRunningTopology::execute_chunk(std::size_t t, std::size_t limit)
     ++done;
   }
   if (prof != nullptr) {
-    prof->self_ns->inc(profiler_now_ns() - t0);
+    prof->self_ns->inc(common::wall_now_ns() - t0);
     if (done != 0) prof->tuples->inc(done);
   }
   return done;
@@ -205,12 +205,12 @@ std::size_t FreeRunningTopology::step(common::Timestamp now,
     RouteCollector out(*this, n);
     for (std::size_t t = c.first_task; t < c.end_task(); ++t) {
       TaskGraph::TaskProf* prof = graph_.prof(t);
-      const std::uint64_t t0 = prof != nullptr ? profiler_now_ns() : 0;
+      const std::uint64_t t0 = prof != nullptr ? common::wall_now_ns() : 0;
       Spout& spout = *graph_.task(t).spout;
       for (std::size_t i = 0; i < spout_budget_per_task; ++i) {
         if (!spout.next_tuple(out, now)) break;
       }
-      if (prof != nullptr) prof->self_ns->inc(profiler_now_ns() - t0);
+      if (prof != nullptr) prof->self_ns->inc(common::wall_now_ns() - t0);
     }
   }
   // Return quiescent so every step boundary is a reconcile point —

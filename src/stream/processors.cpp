@@ -1,7 +1,7 @@
 #include "stream/processors.hpp"
 
 #include <algorithm>
-#include <cctype>
+#include <limits>
 
 #include "common/string_util.hpp"
 #include "stream/kafka_spout.hpp"
@@ -98,8 +98,12 @@ common::Expected<TopologySpec> build_topk(const ProcessorParams& params,
     return err("top-k: field '" + key_field + "' not in schema of " + topic);
   }
 
-  const std::size_t k = params.get_u64("k", 10);
-  const std::size_t slots = std::max<std::uint64_t>(1, params.get_u64("w", 10));
+  const auto top = params.get_u64("k", 10);
+  if (!top) return top.error();
+  const auto window = params.get_ticks("w", 10);
+  if (!window) return window.error();
+  const std::size_t k = *top;
+  const std::size_t slots = std::max<std::uint64_t>(1, *window);
 
   TopologyBuilder b("top-k");
   std::string upstream = add_source(b, ctx, topic, 0);
@@ -444,18 +448,36 @@ std::string ProcessorParams::get(const std::string& key,
   return it == args.end() ? fallback : it->second;
 }
 
-std::uint64_t ProcessorParams::get_u64(const std::string& key,
-                                       std::uint64_t fallback) const {
+common::Expected<std::uint64_t> ProcessorParams::get_u64(
+    const std::string& key, std::uint64_t fallback) const {
+  const auto it = args.find(key);
+  if (it == args.end()) return fallback;
+  std::uint64_t v = 0;
+  if (!common::parse_u64(it->second, v)) {
+    return err("argument " + key + "='" + it->second + "' is not a count");
+  }
+  return v;
+}
+
+common::Expected<std::uint64_t> ProcessorParams::get_ticks(
+    const std::string& key, std::uint64_t fallback) const {
   const auto it = args.find(key);
   if (it == args.end()) return fallback;
   std::string_view s = it->second;
-  // Strip a trailing duration suffix ("10s" -> 10); windows are measured in
-  // ticks, which the runtime drives once per second.
-  while (!s.empty() && !std::isdigit(static_cast<unsigned char>(s.back()))) {
+  std::uint64_t scale = 1;
+  if (s.ends_with('s')) {
     s.remove_suffix(1);
+  } else if (s.ends_with('m')) {
+    s.remove_suffix(1);
+    scale = 60;
   }
   std::uint64_t v = 0;
-  return common::parse_u64(s, v) ? v : fallback;
+  if (!common::parse_u64(s, v) ||
+      v > std::numeric_limits<std::uint64_t>::max() / scale) {
+    return err("argument " + key + "='" + it->second +
+               "' is not a duration (<n>, <n>s or <n>m)");
+  }
+  return v * scale;
 }
 
 Fields record_schema(const std::string& topic) {

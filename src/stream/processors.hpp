@@ -24,8 +24,15 @@ struct ProcessorParams {
   std::map<std::string, std::string> args;
 
   std::string get(const std::string& key, const std::string& fallback) const;
-  /// Parses integers and duration-suffixed values ("10" or "10s").
-  std::uint64_t get_u64(const std::string& key, std::uint64_t fallback) const;
+  /// A count such as k: "<n>" only. `fallback` when the argument is absent;
+  /// an error naming the argument when it is malformed.
+  common::Expected<std::uint64_t> get_u64(const std::string& key,
+                                          std::uint64_t fallback) const;
+  /// A window length such as w, in ticks (one per second): "<n>", "<n>s"
+  /// or "<n>m" (60·n), the units the LIMIT clause reads. Absent and
+  /// malformed as for get_u64.
+  common::Expected<std::uint64_t> get_ticks(const std::string& key,
+                                            std::uint64_t fallback) const;
 };
 
 /// Everything a processor needs from its environment.

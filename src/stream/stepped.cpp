@@ -21,7 +21,7 @@ void SteppedTopology::exec_task(std::size_t t, StageKind kind,
   TaskGraph::TaskProf* prof = graph_.prof(t);
   std::uint64_t t0 = 0;
   if (prof != nullptr) {
-    t0 = profiler_now_ns();
+    t0 = common::wall_now_ns();
     const std::uint64_t dispatched =
         prof_stage_start_ns_.load(std::memory_order_relaxed);
     if (dispatched != 0 && t0 > dispatched) {
@@ -52,7 +52,7 @@ void SteppedTopology::exec_task(std::size_t t, StageKind kind,
       task.bolt->cleanup(now, out);
       break;
   }
-  if (prof != nullptr) prof->self_ns->inc(profiler_now_ns() - t0);
+  if (prof != nullptr) prof->self_ns->inc(common::wall_now_ns() - t0);
 }
 
 std::size_t SteppedTopology::merge_stage(std::size_t component) {
@@ -126,7 +126,7 @@ void SteppedTopology::run_bolt_stage(std::size_t component, StageKind kind,
                                      common::Timestamp now) {
   const TaskGraph::Component& c = graph_.component(component);
   if (graph_.profiling()) {
-    prof_stage_start_ns_.store(profiler_now_ns(), std::memory_order_relaxed);
+    prof_stage_start_ns_.store(common::wall_now_ns(), std::memory_order_relaxed);
     if (prof_stage_dispatches_ != nullptr) prof_stage_dispatches_->inc();
   }
   if (exec_.workers <= 1 || c.spec->parallelism <= 1) {
@@ -185,13 +185,13 @@ std::size_t SteppedTopology::step(common::Timestamp now,
     if (!c.spec->is_spout()) continue;
     for (std::size_t t = c.first_task; t < c.end_task(); ++t) {
       TaskGraph::TaskProf* prof = graph_.prof(t);
-      const std::uint64_t t0 = prof != nullptr ? profiler_now_ns() : 0;
+      const std::uint64_t t0 = prof != nullptr ? common::wall_now_ns() : 0;
       OutboxCollector collector(slots_[t].outbox);
       Spout& spout = *graph_.task(t).spout;
       for (std::size_t i = 0; i < spout_budget_per_task; ++i) {
         if (!spout.next_tuple(collector, now)) break;
       }
-      if (prof != nullptr) prof->self_ns->inc(profiler_now_ns() - t0);
+      if (prof != nullptr) prof->self_ns->inc(common::wall_now_ns() - t0);
     }
     merge_stage(n);
   }

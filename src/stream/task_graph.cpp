@@ -1,7 +1,6 @@
 #include "stream/task_graph.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <stdexcept>
 
 namespace netalytics::stream {
@@ -43,13 +42,6 @@ std::vector<std::size_t> topological_order(const TopologySpec& spec) {
     throw std::invalid_argument("topology: subscription graph has a cycle");
   }
   return order;
-}
-
-std::uint64_t profiler_now_ns() noexcept {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
 }
 
 TaskGraph::TaskGraph(TopologySpec spec, bool profile)

@@ -26,9 +26,6 @@ namespace netalytics::stream {
 /// unknown source or a cycle.
 std::vector<std::size_t> topological_order(const TopologySpec& spec);
 
-/// Wall clock for the stage profiler only — virtual time never touches it.
-std::uint64_t profiler_now_ns() noexcept;
-
 class TaskGraph {
  public:
   /// One task: exactly one of spout/bolt is set.
@@ -57,7 +54,7 @@ class TaskGraph {
   };
 
   /// Stage-profiler counters of one task. Wall-clock values: never part
-  /// of the deterministic render contract (docs/DETERMINISM.md).
+  /// of the determinism contract (docs/DETERMINISM.md).
   struct TaskProf {
     common::Counter* tuples = nullptr;
     common::Counter* self_ns = nullptr;

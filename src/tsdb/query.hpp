@@ -80,9 +80,9 @@ struct RangeResult {
   /// attributed to the window containing its first sample.
   bool exact = true;
 
-  /// Deterministic plain-text rendering (diff-stable, like
-  /// MetricsSnapshot::render): a header line, then per series one name
-  /// line and one "  t=<ns> v=<value> n=<samples>" line per point.
+  /// Deterministic, diff-stable plain-text rendering: a header line, then
+  /// per series one name line and one "  t=<ns> v=<value> n=<samples>"
+  /// line per point.
   std::string render(std::size_t max_points_per_series = 1000) const;
 };
 

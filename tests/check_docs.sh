@@ -22,6 +22,11 @@
 #      src/**/*.hpp header defines (class, struct or enum), or whose
 #      defining header does not contain `member` outside comments (so docs
 #      stop naming deleted or renamed API).
+#   9. a backticked call `name(` in the docs names a function that no
+#      src/**/*.hpp header mentions as `name(` outside comments (so docs
+#      stop naming deleted free functions and methods). Names the docs
+#      cite on purpose without the tree providing them are listed in
+#      call_allowlist.
 #
 # Wired into tests/run_ci.sh as the `docs` lane.
 set -eu
@@ -141,6 +146,20 @@ for ref in $(grep -ho '`[^`]*`' $docs |
     fail "docs name $ref, but no src/**/*.hpp defining $type declares $member"
   fi
 done
+
+# 9. Backticked calls must name a function some header still has. One
+# comment-stripped copy of every header is searched for `name(`.
+call_allowlist="rand"  # DETERMINISM.md: "Nothing calls `rand()`"
+header_code=$(mktemp)
+for h in $headers; do sed 's,//.*,,' "$h"; done >"$header_code"
+for name in $(grep -ho '`[^`]*`' $docs |
+              grep -o '[A-Za-z_][A-Za-z0-9_]*(' | sed 's/($//' | sort -u); do
+  case " $call_allowlist " in *" $name "*) continue ;; esac
+  if ! grep -qE "(^|[^A-Za-z0-9_])$name\(" "$header_code"; then
+    fail "docs call $name(), but no src/**/*.hpp declares it"
+  fi
+done
+rm -f "$header_code"
 
 if [ -e "$repo_root/.check_docs_failed" ]; then
   rm -f "$repo_root/.check_docs_failed"

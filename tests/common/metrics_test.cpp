@@ -97,23 +97,6 @@ TEST(MetricsRegistryTest, SnapshotFiltersByPrefixAndSortsByName) {
   EXPECT_EQ(q1.gauges[0].value, 5);
 }
 
-TEST(MetricsRegistryTest, RenderIsCumulativePrometheusStyle) {
-  MetricsRegistry reg;
-  reg.counter("hits").inc(4);
-  auto& h = reg.histogram("lat", {10, 20});
-  h.observe(5);
-  h.observe(15);
-  h.observe(100);
-
-  const std::string text = reg.render_text();
-  EXPECT_NE(text.find("hits 4\n"), std::string::npos);
-  EXPECT_NE(text.find("lat{le=\"10\"} 1\n"), std::string::npos);
-  EXPECT_NE(text.find("lat{le=\"20\"} 2\n"), std::string::npos);
-  EXPECT_NE(text.find("lat{le=\"+Inf\"} 3\n"), std::string::npos);
-  EXPECT_NE(text.find("lat_sum 120\n"), std::string::npos);
-  EXPECT_NE(text.find("lat_count 3\n"), std::string::npos);
-}
-
 TEST(MetricsSnapshotTest, EqualityIsDeepAndOrderSensitive) {
   MetricsRegistry a, b;
   a.counter("c").inc(2);

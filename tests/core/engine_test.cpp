@@ -74,6 +74,36 @@ TEST_F(EngineTest, TopKEndToEnd) {
   EXPECT_EQ(stream::as_str(rows[2].at(1)), "/cold");
 }
 
+TEST_F(EngineTest, TopKWindowInMinutesKeepsAKeySeenOnce) {
+  // w=2m is 120 one-second ticks (the LIMIT clause's minutes), so a URL
+  // requested once at 1 s is still ranked after 10 s.
+  auto q = engine_.submit(
+      "PARSE http_get FROM * TO h5:80 LIMIT 60s PROCESS (top-k: k=3, w=2m)", 0);
+  ASSERT_TRUE(q.has_value()) << q.error().to_string();
+  http_session("h0", "h5", "/once", common::kSecond);
+  for (int s = 2; s <= 10; ++s) engine_.pump(s * common::kSecond);
+  const std::size_t cursor = (*q)->results().size();
+  engine_.pump(11 * common::kSecond);
+  engine_.pump(12 * common::kSecond);
+
+  const auto rows = (*q)->results_since(cursor);
+  ASSERT_FALSE(rows.empty());
+  for (const auto& row : rows) EXPECT_EQ(stream::as_str(row.at(1)), "/once");
+}
+
+TEST_F(EngineTest, SubmitRejectsMalformedProcessArguments) {
+  for (const char* arg : {"w=5x", "w=abc", "k=1O", "k=10s"}) {
+    const std::string text =
+        "PARSE http_get FROM * TO h5:80 PROCESS (top-k: " + std::string(arg) + ")";
+    const auto q = engine_.submit(text, 0);
+    ASSERT_FALSE(q.has_value()) << arg;
+    const std::string key(arg, 1);
+    EXPECT_NE(q.error().message.find(key + "="), std::string::npos)
+        << q.error().to_string();
+  }
+  EXPECT_TRUE(engine_.queries().empty());
+}
+
 TEST_F(EngineTest, MonitorsOnlySeeMatchedTraffic) {
   auto q = engine_.submit(
       "PARSE http_get FROM * TO h5:80 LIMIT 60s PROCESS (identity)", 0);

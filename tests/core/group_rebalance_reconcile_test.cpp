@@ -4,8 +4,9 @@
 // packets_in == tuples_out + losses + in_flight stays exact at every pump
 // boundary while the group rebalances — members joining and leaving between
 // pumps, brokers going down, producers being rejected, and retention
-// evicting unread backlog — and that every observable render is
-// bit-identical between executor_workers = 1 and a real 4-thread pool.
+// evicting unread backlog — and that every observable output (results,
+// metrics snapshot, trace spans) is identical between executor_workers = 1
+// and a real 4-thread pool.
 #include "core/netalytics.hpp"
 
 #include <gtest/gtest.h>
@@ -56,8 +57,8 @@ void expect_exact(NetAlytics& engine, const QueryHandle& q,
 /// Everything a run exposes to a caller, captured for comparison.
 struct RunCapture {
   std::vector<stream::Tuple> results;
-  std::string metrics;
-  std::string trace;
+  common::MetricsSnapshot metrics;
+  std::vector<common::TraceSpan> trace;
 };
 
 /// Chaos run with a spout group of 3 over an 8-partition grid, plus
@@ -140,8 +141,8 @@ RunCapture run_churn_chaos(std::size_t workers) {
   EXPECT_GT(plan.fires("mq.broker.0.down") + plan.fires("mq.broker.1.down"),
             0u);
   EXPECT_GT(plan.fires("mq.broker.0.reject"), 0u);
-  return {(*q)->results(), (*q)->render(RenderOptions{}),
-          (*q)->render_trace(/*max_traces=*/200)};
+  return {(*q)->results(), engine.metrics().snapshot("q1."),
+          (*q)->trace_recorder().collect()};
 }
 
 /// Clean run parameterized by group size, for the split-vs-solo
@@ -164,8 +165,8 @@ RunCapture run_clean(std::size_t group_size, std::size_t workers = 1) {
   expect_exact(engine, **q, "mid clean run");
   engine.pump(3 * common::kSecond);
   expect_exact(engine, **q, "end of clean run");
-  return {(*q)->results(), (*q)->render(RenderOptions{}),
-          (*q)->render_trace(/*max_traces=*/200)};
+  return {(*q)->results(), engine.metrics().snapshot("q1."),
+          (*q)->trace_recorder().collect()};
 }
 
 TEST(GroupRebalanceReconcile, ChurnChaosIsIdenticalAcrossWorkerCounts) {
@@ -174,9 +175,9 @@ TEST(GroupRebalanceReconcile, ChurnChaosIsIdenticalAcrossWorkerCounts) {
   // The stalled partitions drained after the handoffs.
   EXPECT_FALSE(serial.results.empty());
   // Assignment, generation bumps and cursor handoff are pure functions of
-  // member-index order and virtual time: result tuples, the rendered
-  // metrics registry and the flight-recorder timelines match byte for
-  // byte between the inline executor and the 4-thread pool.
+  // member-index order and virtual time: result tuples, the metrics
+  // snapshot and the flight-recorder spans match exactly between the
+  // inline executor and the 4-thread pool.
   EXPECT_EQ(serial.results, parallel.results);
   EXPECT_EQ(serial.metrics, parallel.metrics);
   EXPECT_EQ(serial.trace, parallel.trace);

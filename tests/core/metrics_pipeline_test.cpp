@@ -34,8 +34,8 @@ void http_traffic(Emulation& emu, int sessions, common::Timestamp start) {
 }
 
 /// One full identity-query run in virtual time; returns the engine's
-/// complete metrics rendering after stop_all.
-std::string run_identity_query(std::string& results_render) {
+/// complete metrics snapshot after stop_all.
+common::MetricsSnapshot run_identity_query(std::string& results_render) {
   Emulation emu = Emulation::make_small(4);
   NetAlytics engine(emu);
   auto q = engine.submit(
@@ -45,14 +45,14 @@ std::string run_identity_query(std::string& results_render) {
   engine.pump(2 * common::kSecond);
   engine.stop_all(3 * common::kSecond);
   results_render = (*q)->view().render(RenderOptions{.key_fields = 2});
-  return engine.render(RenderOptions{});
+  return engine.metrics().snapshot();
 }
 
 TEST(MetricsDeterminismTest, IdenticalVirtualRunsRenderIdenticalMetrics) {
   std::string results_a, results_b;
-  const std::string a = run_identity_query(results_a);
-  const std::string b = run_identity_query(results_b);
-  EXPECT_FALSE(a.empty());
+  const auto a = run_identity_query(results_a);
+  const auto b = run_identity_query(results_b);
+  EXPECT_FALSE(a.counters.empty());
   EXPECT_EQ(a, b);
   EXPECT_EQ(results_a, results_b);
 }
@@ -104,10 +104,13 @@ TEST_F(MetricsPipelineTest, RenderMetricsReportsCountersAndStageHistogram) {
   http_traffic(emu_, 2, common::kSecond);
   engine_.pump(2 * common::kSecond);
 
-  // Per-query rendering: monitor counters and the stage histograms.
-  const std::string qtext = (*q)->render(RenderOptions{});
-  EXPECT_NE(qtext.find("q1.mon0.rx_packets"), std::string::npos);
-  EXPECT_NE(qtext.find("q1.stage.e2e_count"), std::string::npos);
+  // Per-query exposition: monitor counters and the stage histograms, with
+  // the query and monitor coordinates lifted into labels.
+  const std::string qtext = (*q)->export_metrics();
+  EXPECT_NE(qtext.find("netalytics_rx_packets{monitor=\"0\",query=\"1\"} "),
+            std::string::npos);
+  EXPECT_NE(qtext.find("netalytics_stage_e2e_count{query=\"1\"} "),
+            std::string::npos);
 
   const auto snap = engine_.metrics().snapshot();
   EXPECT_GT(snap.counter_value("q1.mon0.rx_packets"), 0u);
@@ -123,9 +126,9 @@ TEST_F(MetricsPipelineTest, RenderMetricsReportsCountersAndStageHistogram) {
   ASSERT_NE(e2e, nullptr);
   EXPECT_GT(e2e->count, 0u);
 
-  // Engine-wide rendering covers the broker layer too.
-  const std::string all = engine_.render(RenderOptions{});
-  EXPECT_NE(all.find("mq.broker0."), std::string::npos);
+  // Engine-wide exposition covers the broker layer too.
+  const std::string all = engine_.export_metrics();
+  EXPECT_NE(all.find("broker=\"0\""), std::string::npos);
 }
 
 TEST_F(MetricsPipelineTest, MonitorStatsShimSurvivesStop) {

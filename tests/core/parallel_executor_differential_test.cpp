@@ -3,9 +3,9 @@
 // SDN mirroring, NFV monitors, the message queue, and the stream
 // processors — is run twice on identical input with identical fault
 // plans, once with executor_workers = 1 (inline) and once with a real
-// 4-thread pool, and every observable output must match byte for byte:
-// result-sink tuples, the rendered metrics registry, the rendered trace
-// provenance, and a zero reconcile() residual at every pump boundary.
+// 4-thread pool, and every observable output must match exactly:
+// result-sink tuples, the query's metrics snapshot, the collected trace
+// spans, and a zero reconcile() residual at every pump boundary.
 #include "core/netalytics.hpp"
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include "common/fault.hpp"
 #include "pktgen/payloads.hpp"
 #include "pktgen/session.hpp"
+#include "trace_stages.hpp"
 
 namespace netalytics::core {
 namespace {
@@ -42,8 +43,8 @@ void http_session(Emulation& emu, int port, common::Timestamp start,
 /// Everything a run exposes to a caller, captured for comparison.
 struct RunCapture {
   std::vector<stream::Tuple> results;
-  std::string metrics;
-  std::string trace;
+  common::MetricsSnapshot metrics;
+  std::vector<common::TraceSpan> trace;
 };
 
 /// The chaos workload of trace_reconcile_test.cpp (every discard site at
@@ -107,8 +108,8 @@ RunCapture run_chaos(std::size_t workers) {
     engine.pump(t);
     EXPECT_TRUE(engine.reconcile(**q).exact()) << "workers=" << workers;
   }
-  return {(*q)->results(), (*q)->render(RenderOptions{}),
-          (*q)->render_trace(/*max_traces=*/200)};
+  return {(*q)->results(), engine.metrics().snapshot("q1."),
+          (*q)->trace_recorder().collect()};
 }
 
 /// Clean (fault-free) run with every packet traced, for the provenance
@@ -128,8 +129,8 @@ RunCapture run_clean(std::size_t workers) {
   engine.pump(2 * common::kSecond);
   engine.pump(3 * common::kSecond);
   EXPECT_TRUE(engine.reconcile(**q).exact());
-  return {(*q)->results(), (*q)->render(RenderOptions{}),
-          (*q)->render_trace(/*max_traces=*/200)};
+  return {(*q)->results(), engine.metrics().snapshot("q1."),
+          (*q)->trace_recorder().collect()};
 }
 
 TEST(ParallelExecutorDifferential, ChaosRunIsIdenticalAcrossWorkerCounts) {
@@ -138,8 +139,8 @@ TEST(ParallelExecutorDifferential, ChaosRunIsIdenticalAcrossWorkerCounts) {
   // The spouts healed and the surviving backlog drained into results.
   EXPECT_FALSE(serial.results.empty());
   // Same result tuples (values, order, and trace ids), same metrics
-  // registry byte for byte (tuple counts, drop causes, stage histograms),
-  // same flight-recorder timelines.
+  // snapshot (tuple counts, drop causes, stage histograms), same
+  // flight-recorder spans.
   EXPECT_EQ(serial.results, parallel.results);
   EXPECT_EQ(serial.metrics, parallel.metrics);
   EXPECT_EQ(serial.trace, parallel.trace);
@@ -155,8 +156,7 @@ TEST(ParallelExecutorDifferential, CleanRunProvenanceIsIdentical) {
   EXPECT_EQ(serial.trace, parallel.trace);
   // The execute stage is stamped identically from pool threads and the
   // stepping thread.
-  EXPECT_NE(parallel.trace.find("execute"), std::string::npos);
-  EXPECT_NE(parallel.trace.find("stages=111111"), std::string::npos);
+  EXPECT_TRUE(testing::covers_pipeline(parallel.trace));
 }
 
 TEST(ParallelExecutorDifferential, OversizedPoolIsStillIdentical) {

@@ -2,7 +2,7 @@
 // query_range() agreement with the live registry, the monitor_stats()
 // shim's exactness, byte-identical renders across executor worker counts,
 // percentiles over the stage histograms, result-emission capture, the
-// store-disabled fallback, and the render(opts) shims.
+// store-disabled fallback, and the prefix-filtered metrics exports.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -224,14 +224,14 @@ TEST(RenderOptionsTest, UnifiedRenderShimsAgree) {
   http_traffic(emu, 2, common::kSecond);
   engine.pump(2 * common::kSecond);
 
-  // Engine: render(opts) filters by prefix.
-  EXPECT_FALSE(engine.render(RenderOptions{.prefix = "mq."}).empty());
+  // The engine export filters by name prefix.
+  EXPECT_FALSE(engine.export_metrics("mq.").empty());
 
-  // Query: render(opts) scopes under "q<id>.".
-  const QueryHandle& h = **q;
-  const auto mon_only = h.render(RenderOptions{.prefix = "mon"});
-  EXPECT_NE(mon_only.find("q1.mon0.rx_packets"), std::string::npos);
-  EXPECT_EQ(mon_only.find("q1.stage."), std::string::npos);
+  // A query's monitors alone: "q<id>.mon", without its stage histograms.
+  const auto mon_only = engine.export_metrics("q1.mon");
+  EXPECT_NE(mon_only.find("netalytics_rx_packets{monitor=\"0\",query=\"1\"} "),
+            std::string::npos);
+  EXPECT_EQ(mon_only.find("netalytics_stage_"), std::string::npos);
 }
 
 }  // namespace

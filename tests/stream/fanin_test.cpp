@@ -5,12 +5,6 @@
 namespace netalytics::stream {
 namespace {
 
-class VecCollector final : public Collector {
- public:
-  void emit(Tuple tuple) override { tuples.push_back(std::move(tuple)); }
-  std::vector<Tuple> tuples;
-};
-
 TEST(FanInTopK, SumsAcrossSourcesUnlikeMergeUpsert) {
   FanInTopK fanin(3, 2);
   // The same key counted independently by distinct children must *sum*:
@@ -56,29 +50,6 @@ TEST(FanInTopK, RejectsZeroSourcesAndClampsZeroK) {
   one.add(0, "x", 1);
   one.add(0, "y", 5);
   EXPECT_EQ(one.global().entries().size(), 1u);
-}
-
-TEST(FanInSpout, DrainsLowestIndexedSourceFirst) {
-  FanInSpout spout(3);
-  spout.push(2, Tuple{.values = {Value{std::int64_t{20}}}, .trace = 0});
-  spout.push(0, Tuple{.values = {Value{std::int64_t{1}}}, .trace = 7});
-  spout.push(2, Tuple{.values = {Value{std::int64_t{21}}}, .trace = 0});
-  spout.push(0, Tuple{.values = {Value{std::int64_t{2}}}, .trace = 0});
-  EXPECT_EQ(spout.buffered(), 4u);
-
-  VecCollector out;
-  while (spout.next_tuple(out, 0)) {
-  }
-  ASSERT_EQ(out.tuples.size(), 4u);
-  // Source 0 fully drains before source 2, regardless of push interleaving.
-  EXPECT_EQ(as_i64(out.tuples[0].at(0)), 1);
-  EXPECT_EQ(as_i64(out.tuples[1].at(0)), 2);
-  EXPECT_EQ(as_i64(out.tuples[2].at(0)), 20);
-  EXPECT_EQ(as_i64(out.tuples[3].at(0)), 21);
-  EXPECT_EQ(out.tuples[0].trace, 7u);  // provenance rides along
-  EXPECT_EQ(spout.buffered(), 0u);
-  EXPECT_FALSE(spout.next_tuple(out, 0));
-  EXPECT_THROW(FanInSpout(0), std::invalid_argument);
 }
 
 }  // namespace

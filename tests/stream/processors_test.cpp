@@ -371,15 +371,45 @@ TEST_F(ProcessorsTest, IdentityStreamsRawRecords) {
 
 TEST_F(ProcessorsTest, ParamsParseDurationsAndDefaults) {
   ProcessorParams p;
-  p.args["k"] = "5";
-  p.args["w"] = "30s";
-  p.args["bad"] = "abc";
-  EXPECT_EQ(p.get_u64("k", 10), 5u);
-  EXPECT_EQ(p.get_u64("w", 10), 30u);
-  EXPECT_EQ(p.get_u64("missing", 7), 7u);
-  EXPECT_EQ(p.get_u64("bad", 7), 7u);
+  p.args = {{"k", "5"},   {"w", "30s"}, {"bad", "abc"}, {"n", "7"},
+            {"min", "2m"}, {"x", "5x"},  {"m", "m"},     {"o", "1O"},
+            {"neg", "-3s"}};
+  EXPECT_EQ(p.get_u64("k", 10).value(), 5u);
+  EXPECT_EQ(p.get_ticks("w", 10).value(), 30u);
+  EXPECT_EQ(p.get_ticks("n", 10).value(), 7u);
+  EXPECT_EQ(p.get_ticks("min", 10).value(), 120u);  // minutes, as in LIMIT
+  EXPECT_EQ(p.get_u64("missing", 7).value(), 7u);
+  EXPECT_EQ(p.get_ticks("missing", 7).value(), 7u);
+  // Malformed values are errors naming the argument, never a fallback.
+  for (const char* bad : {"bad", "x", "m", "o", "neg"}) {
+    const auto ticks = p.get_ticks(bad, 10);
+    ASSERT_FALSE(ticks.has_value()) << bad;
+    EXPECT_NE(ticks.error().message.find(std::string(bad) + "="),
+              std::string::npos);
+  }
+  EXPECT_FALSE(p.get_u64("bad", 7).has_value());
+  EXPECT_FALSE(p.get_u64("w", 7).has_value());  // a count takes no unit
   EXPECT_EQ(p.get("k", "x"), "5");
   EXPECT_EQ(p.get("missing", "x"), "x");
+}
+
+TEST_F(ProcessorsTest, TopKRejectsMalformedArgumentsByName) {
+  auto ctx = context();
+  ctx.topics = {"http_get"};
+  const auto build = [&](std::string key, std::string value) {
+    ProcessorParams p;
+    p.args[key] = value;
+    return build_processor("top-k", p, ctx);
+  };
+  EXPECT_TRUE(build("w", "2m").has_value());
+  for (const auto& [key, value] : std::vector<std::pair<std::string, std::string>>{
+           {"w", "5x"}, {"w", "abc"}, {"k", "1O"}, {"k", "10s"}}) {
+    const auto spec = build(key, value);
+    ASSERT_FALSE(spec.has_value()) << key << "=" << value;
+    EXPECT_NE(spec.error().message.find(key + "='" + value + "'"),
+              std::string::npos)
+        << spec.error().message;
+  }
 }
 
 }  // namespace
