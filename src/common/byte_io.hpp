@@ -128,6 +128,17 @@ class ByteReader {
   std::size_t remaining() const noexcept { return buf_.size() - pos_; }
   bool done() const noexcept { return remaining() == 0; }
 
+  /// Check a decoded element count against the bytes that remain: `n`
+  /// elements of at least `min_element_bytes` each must fit. Returns `n`,
+  /// or throws before the caller reserves anything, so a hostile count can
+  /// never drive an allocation.
+  std::size_t bounded_count(std::size_t n, std::size_t min_element_bytes) const {
+    if (n > remaining() / min_element_bytes) {
+      throw std::out_of_range("ByteReader: count exceeds payload");
+    }
+    return n;
+  }
+
  private:
   std::span<const std::byte> take(std::size_t n) {
     if (remaining() < n) throw std::out_of_range("ByteReader: underflow");

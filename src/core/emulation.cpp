@@ -22,8 +22,7 @@ Emulation::Emulation(dcn::Topology topo) : topo_(std::move(topo)) {
 
     // Delivery is counted in transmit() (a cross-rack frame visits two
     // switches; only its arrival at the destination ToR is a delivery).
-    state.sw->connect_port(kDeliveryPort,
-                           [](std::span<const std::byte>, common::Timestamp) {});
+    state.sw->connect_port(kDeliveryPort, [](const net::DecodedPacket&) {});
     tors_.emplace(tor, std::move(state));
   }
 }
@@ -117,11 +116,15 @@ std::uint32_t Emulation::attach_monitor(dcn::NodeId tor, sdn::PortSink sink) {
 
 void Emulation::transmit(std::span<const std::byte> frame, common::Timestamp ts) {
   ++transmitted_;
-  const auto decoded = net::decode_packet(frame);
+  // Fabric ingress: the frame's one decode. Switch match, mirror actions and
+  // the monitors behind mirror ports all read this DecodedPacket.
+  auto decoded = net::decode_packet(frame);
   if (!decoded || !decoded->has_ipv4) return;
+  decoded->timestamp = ts;
+  const net::DecodedPacket& pkt = *decoded;
 
-  const auto src_node = node_of_ip(decoded->ipv4.src);
-  const auto dst_node = node_of_ip(decoded->ipv4.dst);
+  const auto src_node = node_of_ip(pkt.ipv4.src);
+  const auto dst_node = node_of_ip(pkt.ipv4.dst);
 
   std::optional<dcn::NodeId> src_tor, dst_tor;
   if (src_node) src_tor = topo_.tor_of_host(*src_node);
@@ -131,12 +134,12 @@ void Emulation::transmit(std::span<const std::byte> frame, common::Timestamp ts)
   // (mirrors fire, delivery counted). With both ends in one rack the frame
   // crosses a single switch, like the real fabric.
   if (src_tor) {
-    tors_.at(*src_tor).sw->handle_packet(kIngressPort, frame, ts);
+    tors_.at(*src_tor).sw->handle_packet(kIngressPort, pkt);
     if (dst_tor && *dst_tor != *src_tor) {
-      tors_.at(*dst_tor).sw->handle_packet(kIngressPort, frame, ts);
+      tors_.at(*dst_tor).sw->handle_packet(kIngressPort, pkt);
     }
   } else if (dst_tor) {
-    tors_.at(*dst_tor).sw->handle_packet(kIngressPort, frame, ts);
+    tors_.at(*dst_tor).sw->handle_packet(kIngressPort, pkt);
   }
   if (dst_node) {
     ++delivered_;

@@ -71,8 +71,10 @@ class Emulation {
   /// Attach a monitor sink to a ToR switch; returns the port to mirror to.
   std::uint32_t attach_monitor(dcn::NodeId tor, sdn::PortSink sink);
 
-  /// Inject a frame from its source host. The frame visits the source ToR
-  /// and (when different) the destination ToR, so mirror rules fire
+  /// Inject a frame from its source host. The frame is decoded once here
+  /// (frames that fail to decode or carry no IPv4 are counted as
+  /// transmitted and go nowhere); the decoded packet then visits the source
+  /// ToR and (when different) the destination ToR, so mirror rules fire
   /// wherever the covering monitor lives.
   void transmit(std::span<const std::byte> frame, common::Timestamp ts);
 

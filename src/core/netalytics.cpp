@@ -338,9 +338,7 @@ void NetAlytics::deploy_monitors(QueryHandle& q, common::Timestamp now) {
     // Wire the monitor to its ToR switch (inline processing keeps the
     // emulation deterministic) and mirror the matched pairs to it.
     const auto port = emu_.attach_monitor(
-        mp.tor, [monitor](std::span<const std::byte> frame, common::Timestamp ts) {
-          monitor->process(frame, ts);
-        });
+        mp.tor, [monitor](const net::DecodedPacket& pkt) { monitor->process(pkt); });
 
     for (const auto pair_index : mp.pair_indices) {
       const EndpointPair& pair = q.plan_.pairs[pair_index];

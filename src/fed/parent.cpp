@@ -44,9 +44,17 @@ void ParentNode::pump(common::Timestamp now) {
     if (!slot.link->connected()) slot.stats.connected = false;
     const auto bytes = slot.link->drain_up();
     if (!bytes.empty()) slot.parser.feed(bytes);
-    while (auto frame = slot.parser.next()) {
-      apply_frame(i, *frame, now);
-      if (!slot.link->connected()) break;  // refused HELLO dropped the link
+    while (true) {
+      try {
+        const auto frame = slot.parser.next();
+        if (!frame) break;
+        apply_frame(i, *frame, now);
+      } catch (const std::out_of_range&) {
+        // A bad length prefix or type byte, or a payload that does not
+        // decode (truncated, or a count its bytes cannot hold).
+        reject_malformed(i);
+      }
+      if (!slot.link->connected()) break;  // refused HELLO or bad frame
     }
     if (slot.stats.connected && slot.stats.applied != slot.last_acked) {
       const Ack ack{.child_index = static_cast<std::uint32_t>(i),
@@ -57,6 +65,16 @@ void ParentNode::pump(common::Timestamp now) {
     }
   }
   if (store_.enabled()) store_.capture(now, registry_.snapshot());
+}
+
+void ParentNode::reject_malformed(std::size_t child) {
+  Slot& slot = slots_[child];
+  slot.stats.malformed_frames += 1;
+  slot.stats.connected = false;
+  registry_.counter("fleet.child" + std::to_string(child) +
+                    ".parent.malformed_frames").inc();
+  slot.link->drop();
+  slot.parser.reset();
 }
 
 void ParentNode::apply_frame(std::size_t child, const Frame& frame,
@@ -82,14 +100,18 @@ void ParentNode::apply_frame(std::size_t child, const Frame& frame,
       }
       return;
     }
-    case MsgType::records:
+    case MsgType::records: {
+      const RecordsFrame rf = decode_records(frame.payload);
       slot.stats.record_frames += 1;
-      apply_records(child, decode_records(frame.payload));
+      apply_records(child, rf);
       return;
-    case MsgType::metrics:
+    }
+    case MsgType::metrics: {
+      const MetricsFrame mf = decode_metrics(frame.payload);
       slot.stats.metrics_frames += 1;
-      apply_metrics(child, decode_metrics(frame.payload));
+      apply_metrics(child, mf);
       return;
+    }
     case MsgType::bye: {
       (void)decode_bye(frame.payload);
       slot.stats.byes += 1;

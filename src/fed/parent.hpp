@@ -51,6 +51,7 @@ struct ParentChildStats {
   std::uint64_t metrics_frames = 0;
   std::uint64_t handshakes = 0;    // WELCOMEs sent
   std::uint64_t refused = 0;       // HELLOs rejected (magic/version/index)
+  std::uint64_t malformed_frames = 0;  // frames that failed to decode
   std::uint64_t byes = 0;
 };
 
@@ -102,8 +103,14 @@ class ParentNode {
     ParentChildStats stats;
   };
 
+  /// Apply one frame. Throws std::out_of_range, before touching any
+  /// state it keeps, when the payload does not decode; pump() rejects it.
   void apply_frame(std::size_t child, const Frame& frame,
                    common::Timestamp now);
+  /// Count a malformed frame (ParentChildStats::malformed_frames and the
+  /// fleet series "fleet.child<i>.parent.malformed_frames") and drop the
+  /// link under the RST rules, discarding any bytes buffered behind it.
+  void reject_malformed(std::size_t child);
   void apply_records(std::size_t child, const RecordsFrame& rf);
   void apply_metrics(std::size_t child, const MetricsFrame& mf);
 

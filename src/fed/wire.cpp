@@ -89,20 +89,22 @@ std::vector<std::byte> encode(const MetricsFrame& m) {
 }
 
 MetricsFrame decode_metrics(std::span<const std::byte> payload) {
+  // A sample is at least an empty name (its length prefix) and a value.
+  constexpr std::size_t kMinSampleBytes = 4 + 8;
   common::ByteReader r(payload);
   MetricsFrame m;
   m.tick = r.u64();
-  const std::uint32_t nc = r.u32();
+  const std::size_t nc = r.bounded_count(r.u32(), kMinSampleBytes);
   m.counters.reserve(nc);
-  for (std::uint32_t i = 0; i < nc; ++i) {
+  for (std::size_t i = 0; i < nc; ++i) {
     CounterSample c;
     c.name = r.str();
     c.value = r.u64();
     m.counters.push_back(std::move(c));
   }
-  const std::uint32_t ng = r.u32();
+  const std::size_t ng = r.bounded_count(r.u32(), kMinSampleBytes);
   m.gauges.reserve(ng);
-  for (std::uint32_t i = 0; i < ng; ++i) {
+  for (std::size_t i = 0; i < ng; ++i) {
     GaugeSample g;
     g.name = r.str();
     g.value = static_cast<std::int64_t>(r.u64());

@@ -151,7 +151,9 @@ std::vector<std::byte> encode(const Ack& m);
 std::vector<std::byte> encode(const Bye& m);
 
 // ---- Decoding: payload (without length prefix / type byte) -> message ------
-// All throw std::out_of_range on truncated or malformed payloads.
+// All throw std::out_of_range on truncated or malformed payloads, including
+// a decoded count the remaining bytes cannot hold (checked before any
+// allocation). ParentNode counts such a frame and drops the link.
 
 Hello decode_hello(std::span<const std::byte> payload);
 Welcome decode_welcome(std::span<const std::byte> payload);

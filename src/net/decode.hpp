@@ -1,6 +1,14 @@
 // One-pass packet decoder: classifies a raw frame into layered views that
-// parsers and SDN match logic consume. Decoding happens once per packet in
-// the collector; every parser then reads the same DecodedPacket.
+// parsers and SDN match logic consume. A DecodedPacket is the packet's
+// metadata, like a DPDK mbuf's parsed header fields: a frame is decoded
+// once where it enters the system and the same DecodedPacket rides with it
+// to every consumer. There are three ingress sites and no others:
+//   * core::Emulation::transmit — fabric ingress; switch match, mirror
+//     ports and the monitor's fabric entry all read its decode;
+//   * nf::Monitor::process(frame, ts) — the monitor's raw-bytes ingress
+//     (replay, standalone use);
+//   * nf::Monitor::collector_loop — the NIC ingress behind threaded-mode
+//     inject().
 #pragma once
 
 #include <optional>

@@ -231,34 +231,48 @@ void Monitor::worker_loop(Worker& w) {
   w.output->flush();
 }
 
-void Monitor::process(std::span<const std::byte> frame, common::Timestamp ts) {
+bool Monitor::admit(common::Timestamp ts) noexcept {
   rx_packets_->inc();
   if (faults_ != nullptr && faults_->should_fail(kFaultRxOverflow, ts)) {
     drop(common::DropCause::ingest_ring_overflow, *rx_dropped_);
-    return;
+    return false;
   }
+  return true;
+}
+
+void Monitor::process(std::span<const std::byte> frame, common::Timestamp ts) {
+  if (!admit(ts)) return;
   auto decoded = net::decode_packet(frame);
   if (!decoded) {
     drop(common::DropCause::ingest_decode_error, *decode_failed_);
     return;
   }
   decoded->timestamp = ts;
-  if (!sampler_.keep(decoded->bidirectional_flow_hash)) {
+  parse_inline(*decoded);
+}
+
+void Monitor::process(const net::DecodedPacket& pkt) {
+  if (admit(pkt.timestamp)) parse_inline(pkt);
+}
+
+void Monitor::parse_inline(const net::DecodedPacket& pkt) {
+  if (!sampler_.keep(pkt.bidirectional_flow_hash)) {
     drop(common::DropCause::sample_rejected, *sampled_out_);
     return;
   }
   std::uint64_t trace = 0;
   if (config_.trace_recorder != nullptr) {
-    trace = config_.trace_recorder->begin(decoded->bidirectional_flow_hash, ts);
+    trace = config_.trace_recorder->begin(pkt.bidirectional_flow_hash,
+                                          pkt.timestamp);
   }
   for (auto& group : groups_) {
     const std::size_t idx =
         group.workers.size() == 1
             ? 0
-            : common::hash_to_bucket(decoded->bidirectional_flow_hash,
+            : common::hash_to_bucket(pkt.bidirectional_flow_hash,
                                      group.workers.size());
     Worker& w = *group.workers[idx];
-    parse_guarded(w, *decoded, frame.size(), trace);
+    parse_guarded(w, pkt, pkt.frame.size(), trace);
     dispatched_->inc();
   }
 }

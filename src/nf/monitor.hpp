@@ -110,8 +110,13 @@ class Monitor {
   bool inject(net::PacketPtr pkt) noexcept;
 
   // ---- inline mode ----
-  /// Decode/sample/parse one raw frame synchronously on this thread.
+  /// Decode/sample/parse one raw frame synchronously on this thread (the
+  /// raw-bytes ingress: replay and standalone use).
   void process(std::span<const std::byte> frame, common::Timestamp ts);
+  /// Sample/parse one packet already decoded upstream — the fabric entry a
+  /// mirror port calls, so the monitor never decodes a mirrored frame again.
+  /// `pkt.timestamp` is the arrival time.
+  void process(const net::DecodedPacket& pkt);
   /// Run aggregating parsers' periodic flush (inline mode).
   void tick(common::Timestamp now);
   /// Flush parser state and pending output batches (inline mode).
@@ -157,6 +162,11 @@ class Monitor {
   /// `trace` tags the records this packet produces (0 = untraced).
   void parse_guarded(Worker& w, const net::DecodedPacket& decoded,
                      std::size_t raw_size, std::uint64_t trace);
+  /// Inline ingress shared by both process() entries: count the packet and
+  /// consult the RX-overflow fault site. False = dropped.
+  bool admit(common::Timestamp ts) noexcept;
+  /// Inline sample -> trace -> parse of one admitted, decoded packet.
+  void parse_inline(const net::DecodedPacket& pkt);
   void drop(common::DropCause cause, common::Counter& counter) noexcept {
     counter.inc();
     if (config_.drop_ledger != nullptr) config_.drop_ledger->add(cause);

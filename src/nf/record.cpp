@@ -19,6 +19,15 @@ enum class BatchLayout : std::uint8_t { uniform_topic = 1, per_record_topic = 2 
 // byte-identical to the pre-trace format.
 inline constexpr std::uint8_t kTraceTrailerFlag = 0x80;
 
+// Smallest encodings, which bound every decoded count by the bytes left:
+// a record is id + timestamp + field count (plus a topic length prefix in
+// the per-record layout); a field is a tag and at least a string length
+// prefix; a trace trailer entry is an index and an id.
+inline constexpr std::size_t kMinRecordBytes = 8 + 8 + 2;
+inline constexpr std::size_t kMinTopicBytes = 4;
+inline constexpr std::size_t kMinFieldBytes = 1 + 4;
+inline constexpr std::size_t kTraceEntryBytes = 4 + 8;
+
 void write_record(common::ByteWriter& w, const Record& r, bool with_topic) {
   if (with_topic) w.str(r.topic);
   w.u64(r.id);
@@ -51,9 +60,9 @@ Record read_record(common::ByteReader& r, const std::string* shared_topic) {
   rec.topic = shared_topic != nullptr ? *shared_topic : r.str();
   rec.id = r.u64();
   rec.timestamp = r.u64();
-  const std::uint16_t n = r.u16();
+  const std::size_t n = r.bounded_count(r.u16(), kMinFieldBytes);
   rec.fields.reserve(n);
-  for (std::uint16_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     switch (static_cast<FieldTag>(r.u8())) {
       case FieldTag::i64:
         rec.fields.emplace_back(static_cast<std::int64_t>(r.u64()));
@@ -121,15 +130,16 @@ std::vector<Record> deserialize_batch(std::span<const std::byte> payload) {
   std::string shared_topic;
   const bool uniform = layout == BatchLayout::uniform_topic;
   if (uniform) shared_topic = r.str();
-  const std::uint32_t n = r.u32();
+  const std::size_t n = r.bounded_count(
+      r.u32(), kMinRecordBytes + (uniform ? 0 : kMinTopicBytes));
   std::vector<Record> out;
   out.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     out.push_back(read_record(r, uniform ? &shared_topic : nullptr));
   }
   if (has_traces) {
-    const std::uint32_t traced = r.u32();
-    for (std::uint32_t i = 0; i < traced; ++i) {
+    const std::size_t traced = r.bounded_count(r.u32(), kTraceEntryBytes);
+    for (std::size_t i = 0; i < traced; ++i) {
       const std::uint32_t index = r.u32();
       const std::uint64_t trace = r.u64();
       if (index >= out.size()) {

@@ -37,7 +37,9 @@ std::size_t serialized_size(const Record& r);
 /// Serialize a batch of records into one message payload.
 std::vector<std::byte> serialize_batch(std::span<const Record> records);
 
-/// Inverse of serialize_batch. Throws std::out_of_range on corrupt input.
+/// Inverse of serialize_batch. Throws std::out_of_range on corrupt input,
+/// including a record, field or trace count the remaining bytes cannot hold
+/// (checked before anything is reserved).
 std::vector<Record> deserialize_batch(std::span<const std::byte> payload);
 
 // Typed field access helpers; throw std::bad_variant_access on mismatch.

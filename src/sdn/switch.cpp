@@ -1,7 +1,6 @@
 #include "sdn/switch.hpp"
 
 #include "common/logging.hpp"
-#include "net/decode.hpp"
 
 namespace netalytics::sdn {
 
@@ -13,22 +12,14 @@ void SdnSwitch::connect_port(std::uint32_t port, PortSink sink) {
 }
 
 void SdnSwitch::handle_packet(std::uint32_t in_port,
-                              std::span<const std::byte> frame,
-                              common::Timestamp ts) {
+                              const net::DecodedPacket& pkt) {
   ++stats_.rx_packets;
-  auto decoded = net::decode_packet(frame);
-  if (!decoded) {
-    ++stats_.dropped;
-    return;
-  }
-  decoded->timestamp = ts;
-
-  FlowRule* rule = table_.lookup(*decoded, in_port);
+  FlowRule* rule = table_.lookup(pkt, in_port);
   if (rule != nullptr) {
     ++stats_.matched;
     ++rule->packet_count;
-    rule->byte_count += frame.size();
-    run_actions(rule->actions, frame, ts);
+    rule->byte_count += pkt.frame.size();
+    run_actions(rule->actions, pkt);
     return;
   }
 
@@ -40,9 +31,9 @@ void SdnSwitch::handle_packet(std::uint32_t in_port,
   PacketIn event;
   event.switch_id = id_;
   event.in_port = in_port;
-  event.timestamp = ts;
-  event.packet = *decoded;
-  run_actions(handler_->on_packet_in(event), frame, ts);
+  event.timestamp = pkt.timestamp;
+  event.packet = pkt;
+  run_actions(handler_->on_packet_in(event), pkt);
 }
 
 std::optional<std::uint64_t> SdnSwitch::apply(const FlowMod& mod,
@@ -54,8 +45,7 @@ std::optional<std::uint64_t> SdnSwitch::apply(const FlowMod& mod,
 }
 
 void SdnSwitch::run_actions(const ActionList& actions,
-                            std::span<const std::byte> frame,
-                            common::Timestamp ts) {
+                            const net::DecodedPacket& pkt) {
   if (actions.empty()) {
     ++stats_.dropped;
     return;
@@ -68,7 +58,7 @@ void SdnSwitch::run_actions(const ActionList& actions,
             const auto it = ports_.find(act.port);
             if (it != ports_.end()) {
               ++stats_.forwarded;
-              it->second(frame, ts);
+              it->second(pkt);
             } else {
               ++stats_.dropped;
             }
@@ -76,8 +66,8 @@ void SdnSwitch::run_actions(const ActionList& actions,
             const auto it = ports_.find(act.port);
             if (it != ports_.end()) {
               ++stats_.mirrored;
-              stats_.mirrored_bytes += frame.size();
-              it->second(frame, ts);
+              stats_.mirrored_bytes += pkt.frame.size();
+              it->second(pkt);
             }
             // A missing monitor port silently drops the copy: mirroring
             // must never break normal delivery.

@@ -2,20 +2,23 @@
 // flow table, mirror support, and a reactive miss path to the controller.
 // The in-process emulation attaches hosts and monitors to ports; mirroring
 // a flow to a monitor is exactly the paper's "match and mirror" deployment.
+// The switch never decodes: packets arrive already decoded at fabric
+// ingress (core::Emulation::transmit), and the same DecodedPacket — frame,
+// timestamp and header metadata — is matched and handed to every port.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <span>
 
 #include "sdn/openflow.hpp"
 
 namespace netalytics::sdn {
 
-/// Called when the switch sends a frame out a port.
-using PortSink = std::function<void(std::span<const std::byte> frame,
-                                    common::Timestamp ts)>;
+/// Called when the switch sends a packet out a port. `pkt.frame` and
+/// `pkt.timestamp` are the bytes and arrival time; the spans are valid only
+/// during the call.
+using PortSink = std::function<void(const net::DecodedPacket& pkt)>;
 
 /// Controller-side handler for table misses. Returns the actions to apply
 /// to this packet (and typically installs a rule via the controller's
@@ -50,9 +53,8 @@ class SdnSwitch {
     handler_ = handler;
   }
 
-  /// Data plane entry: a frame arrives on `in_port`.
-  void handle_packet(std::uint32_t in_port, std::span<const std::byte> frame,
-                     common::Timestamp ts);
+  /// Data plane entry: a decoded packet arrives on `in_port`.
+  void handle_packet(std::uint32_t in_port, const net::DecodedPacket& pkt);
 
   /// Southbound: apply a FlowMod. Returns the installed cookie (add) or
   /// whether removal succeeded encoded as cookie 0/1.
@@ -62,8 +64,7 @@ class SdnSwitch {
   const SwitchStats& stats() const noexcept { return stats_; }
 
  private:
-  void run_actions(const ActionList& actions, std::span<const std::byte> frame,
-                   common::Timestamp ts);
+  void run_actions(const ActionList& actions, const net::DecodedPacket& pkt);
 
   SwitchId id_;
   FlowTable table_;

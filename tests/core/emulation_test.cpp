@@ -75,8 +75,10 @@ TEST(Emulation, MonitorSeesMirroredTraffic) {
 
   int mirrored = 0;
   const auto port = emu.attach_monitor(
-      dst_tor, [&mirrored](std::span<const std::byte>, common::Timestamp) {
+      dst_tor, [&mirrored](const net::DecodedPacket& pkt) {
         ++mirrored;
+        EXPECT_EQ(pkt.timestamp, 1u);  // stamped once at fabric ingress
+        EXPECT_EQ(pkt.five_tuple.dst_port, 80);
       });
 
   sdn::FlowMatch match;
@@ -112,11 +114,29 @@ TEST(Emulation, SameRackFrameVisitsOneTor) {
   EXPECT_EQ(emu.switch_of_tor(tor).stats().rx_packets, 1u);
 }
 
+TEST(Emulation, MalformedFrameReachesNoSwitch) {
+  // Fabric ingress owns the decode: junk is counted as transmitted, then
+  // goes nowhere — no switch sees it and nothing is delivered.
+  auto emu = Emulation::make_small(2);
+  std::vector<std::byte> junk(5);
+  emu.transmit(junk, 1);
+  auto not_ipv4 = frame_between(*emu.ip_of_name("h0"), *emu.ip_of_name("h1"));
+  not_ipv4[12] = std::byte{0x86};  // EtherType 0x86dd: well-formed, no IPv4
+  not_ipv4[13] = std::byte{0xdd};
+  emu.transmit(not_ipv4, 2);
+  EXPECT_EQ(emu.transmitted_packets(), 2u);
+  EXPECT_EQ(emu.delivered_packets(), 0u);
+  for (const auto tor : emu.topology().tor_switches()) {
+    EXPECT_EQ(emu.switch_of_tor(tor).stats().rx_packets, 0u);
+    EXPECT_EQ(emu.switch_of_tor(tor).stats().dropped, 0u);
+  }
+}
+
 TEST(Emulation, MonitorPortsAreDistinct) {
   auto emu = Emulation::make_small(2);
   const auto tor = emu.topology().tor_switches().front();
-  const auto p1 = emu.attach_monitor(tor, [](std::span<const std::byte>, common::Timestamp) {});
-  const auto p2 = emu.attach_monitor(tor, [](std::span<const std::byte>, common::Timestamp) {});
+  const auto p1 = emu.attach_monitor(tor, [](const net::DecodedPacket&) {});
+  const auto p2 = emu.attach_monitor(tor, [](const net::DecodedPacket&) {});
   EXPECT_NE(p1, p2);
 }
 

@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 
+#include "common/byte_io.hpp"
 #include "pktgen/payloads.hpp"
 #include "pktgen/session.hpp"
 #include "stream/tuple.hpp"
@@ -243,6 +245,94 @@ TEST(Federation, ChildRestartIsExactlyIdempotent) {
   std::sort(expected.begin(), expected.end());
   EXPECT_EQ(field_multiset(fed.parent().all_records()), expected);
   EXPECT_GE(fed.child(1).stats().reconnects, 1u);
+}
+
+/// A 40-byte RECORDS frame whose batch claims 2^32-1 records.
+std::vector<std::byte> huge_count_records_frame() {
+  common::ByteWriter batch;
+  batch.u8(1);  // uniform-topic layout
+  batch.str("");
+  batch.u32(0xffffffffu);
+  batch.u32(0);
+  batch.u16(0);
+  common::ByteWriter w;
+  w.u32(1 + 8 + 8 + 4 + static_cast<std::uint32_t>(batch.size()));
+  w.u8(static_cast<std::uint8_t>(MsgType::records));
+  w.u64(0);  // offset
+  w.u64(0);  // tick
+  w.bytes(batch.view());
+  return w.take();
+}
+
+/// A well-framed RECORDS frame whose payload stops mid-batch.
+std::vector<std::byte> truncated_records_frame() {
+  nf::Record r;
+  r.topic = "http_get";
+  r.fields = {std::string("/cut")};
+  auto bytes = encode(RecordsFrame{.offset = 0, .tick = 0, .records = {r}});
+  bytes.resize(bytes.size() - 6);
+  const auto len = static_cast<std::uint32_t>(bytes.size() - 4);
+  std::memcpy(bytes.data(), &len, sizeof len);  // little-endian prefix
+  return bytes;
+}
+
+TEST(Federation, HostileRecordsFramesAreRejectedNotThrown) {
+  Federation fed(small_config(2));
+  ASSERT_TRUE(fed.submit(kQuery, 0).has_value());
+  http_session(fed.emulation(0), 0, common::kSecond, "/a");
+  http_session(fed.emulation(1), 0, common::kSecond, "/b");
+  fed.pump(common::kSecond);
+  fed.pump(2 * common::kSecond);
+  ASSERT_TRUE(fed.child(0).streaming());
+  ASSERT_EQ(huge_count_records_frame().size(), 40u);
+
+  // Each bad frame is counted and drops the link (RST rules); the child
+  // reconnects, and gap replication closes the accounting again.
+  common::Timestamp t = 3 * common::kSecond;
+  for (const auto& bad : {huge_count_records_frame(), truncated_records_frame()}) {
+    ASSERT_TRUE(fed.link(0).send_up(bad, t));
+    EXPECT_NO_THROW(fed.pump(t));
+    EXPECT_FALSE(fed.link(0).connected());
+    http_session(fed.emulation(0), static_cast<int>(t / common::kSecond), t, "/c");
+    t = fed.settle(t + common::kSecond) + common::kSecond;
+    ASSERT_TRUE(fed.child(0).streaming());
+  }
+
+  EXPECT_EQ(fed.parent().child_stats(0).malformed_frames, 2u);
+  EXPECT_EQ(fed.parent().child_stats(1).malformed_frames, 0u);
+  EXPECT_NE(fed.export_metrics().find("malformed_frames"), std::string::npos);
+  const auto report = fed.reconcile();
+  EXPECT_TRUE(report.exact()) << report.render();
+  std::vector<std::string> expected;
+  for (std::size_t i = 0; i < fed.children(); ++i) {
+    for (const auto& key : field_multiset(fed.query(i)->results())) {
+      expected.push_back(key);
+    }
+  }
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(field_multiset(fed.parent().all_records()), expected);
+}
+
+TEST(Federation, UnframeableBytesAreRejectedNotThrown) {
+  Federation fed(small_config(1));
+  ASSERT_TRUE(fed.submit(kQuery, 0).has_value());
+  fed.pump(common::kSecond);
+  fed.pump(2 * common::kSecond);
+  ASSERT_TRUE(fed.child(0).streaming());
+  // A zero length prefix, then an unknown type byte: neither frames.
+  const std::vector<std::byte> zero_length(4, std::byte{0});
+  ASSERT_TRUE(fed.link(0).send_up(zero_length, 3 * common::kSecond));
+  EXPECT_NO_THROW(fed.pump(3 * common::kSecond));
+  const common::Timestamp t = fed.settle(4 * common::kSecond) + common::kSecond;
+  ASSERT_TRUE(fed.child(0).streaming());
+  const std::vector<std::byte> unknown_type = {std::byte{1}, std::byte{0},
+                                               std::byte{0}, std::byte{0},
+                                               std::byte{0x7f}};
+  ASSERT_TRUE(fed.link(0).send_up(unknown_type, t));
+  EXPECT_NO_THROW(fed.pump(t));
+  fed.settle(t + common::kSecond);
+  EXPECT_EQ(fed.parent().child_stats(0).malformed_frames, 2u);
+  EXPECT_TRUE(fed.reconcile().exact()) << fed.reconcile().render();
 }
 
 TEST(Federation, RejectsBadConfigAndDoubleSubmit) {

@@ -139,6 +139,23 @@ TEST(FedWire, TruncatedPayloadThrowsFromDecoders) {
   EXPECT_THROW(decode_welcome(cut), std::out_of_range);
 }
 
+TEST(FedWire, MetricCountsBeyondThePayloadThrow) {
+  // tick, then a counter count of 2^32-1 with nothing behind it.
+  std::vector<std::byte> counters(12, std::byte{0});
+  for (std::size_t i = 8; i < 12; ++i) counters[i] = std::byte{0xff};
+  EXPECT_THROW(decode_metrics(counters), std::out_of_range);
+
+  // A well-formed frame whose gauge count is then inflated.
+  MetricsFrame m;
+  m.counters = {{"a", 1}};
+  const Frame f = parse_one(encode(m));
+  auto payload = f.payload;
+  for (std::size_t i = payload.size() - 4; i < payload.size(); ++i) {
+    payload[i] = std::byte{0xff};
+  }
+  EXPECT_THROW(decode_metrics(payload), std::out_of_range);
+}
+
 TEST(FedWire, ParserResetDiscardsPartialFrame) {
   const auto h = encode(Hello{.node_name = "x"});
   FrameParser p;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/byte_io.hpp"
+
 namespace netalytics::nf {
 namespace {
 
@@ -53,6 +55,32 @@ TEST(Record, UnknownFieldTagThrows) {
   // id(8) + ts(8) + nfields(2) = 28.
   payload[28] = std::byte{0xff};
   EXPECT_THROW(deserialize_batch(payload), std::out_of_range);
+}
+
+TEST(Record, CountsBeyondThePayloadAreRejectedBeforeAllocating) {
+  // A 15-byte batch claiming 2^32-1 records: rejected by the count bound,
+  // not by a bad_alloc from reserving room for them.
+  common::ByteWriter hostile;
+  hostile.u8(1);  // uniform-topic layout
+  hostile.str("");
+  hostile.u32(0xffffffffu);
+  hostile.u32(0);
+  hostile.u16(0);
+  EXPECT_THROW(deserialize_batch(hostile.view()), std::out_of_range);
+
+  // A record claiming 65535 fields with none behind it.
+  Record r;
+  r.topic = "t";
+  auto fields = serialize_batch({&r, 1});
+  fields[fields.size() - 2] = std::byte{0xff};
+  fields[fields.size() - 1] = std::byte{0xff};
+  EXPECT_THROW(deserialize_batch(fields), std::out_of_range);
+
+  // A trace trailer claiming more entries than it carries.
+  r.trace = 9;
+  auto traced = serialize_batch({&r, 1});
+  traced.resize(traced.size() - 12);  // drop the one [index, id] entry
+  EXPECT_THROW(deserialize_batch(traced), std::out_of_range);
 }
 
 TEST(Record, UnknownBatchLayoutThrows) {

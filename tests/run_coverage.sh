@@ -1,13 +1,15 @@
 #!/usr/bin/env sh
 # Coverage lane: build with GCC --coverage instrumentation, run the common /
-# mq / stream / core / tsdb / obs / fed suites, and report line coverage for
+# net / sdn / nf / mq / stream / core / tsdb / obs / fed suites, and report
+# line coverage for
 # src/mq, src/stream, src/tsdb and src/obs (the aggregation layer, the
 # stream engine, the tiered time-series store, and the export layer),
 # plus per-file floors for both topology executors and the task graph
 # they share, the fetch path (mq cluster/consumer/group and the Kafka
 # spout), the metrics registry and trace recorder the exporters read,
-# every export-layer source, and every federation source
-# (docs/FEDERATION.md). The lane
+# every export-layer source, every federation source
+# (docs/FEDERATION.md), and the per-packet fabric path (switch, emulation,
+# monitor). The lane
 # FAILS if any module drops below its recorded baseline, so coverage can
 # only ratchet up.
 #
@@ -53,18 +55,27 @@ spout_file_baseline=95
 # metrics 94%, trace 96%, minus a margin.
 metrics_file_baseline=90
 trace_file_baseline=92
+# Per-file floors for the decode-once packet path (fabric ingress, the
+# switch data plane, the monitor's inline and threaded entries), measured
+# at switch 97%, emulation 95%, monitor 91%, minus a margin.
+switch_file_baseline=93
+emulation_file_baseline=90
+monitor_file_baseline=87
 
 cmake -B "$build_dir" -S "$repo_root" \
   -DCMAKE_BUILD_TYPE=Debug \
   -DCMAKE_CXX_FLAGS=--coverage \
   -DCMAKE_EXE_LINKER_FLAGS=--coverage
-cmake --build "$build_dir" -j "$jobs" --target common_test mq_test stream_test core_test tsdb_test obs_test fed_test
+cmake --build "$build_dir" -j "$jobs" --target common_test net_test sdn_test nf_test mq_test stream_test core_test tsdb_test obs_test fed_test
 
 # Fresh counters: stale .gcda from a previous run would inflate the report.
 find "$build_dir" -name '*.gcda' -delete
 
 echo "== coverage: running suites =="
 "$build_dir/tests/common_test" >/dev/null
+"$build_dir/tests/net_test" >/dev/null
+"$build_dir/tests/sdn_test" >/dev/null
+"$build_dir/tests/nf_test" >/dev/null
 "$build_dir/tests/mq_test" >/dev/null
 "$build_dir/tests/stream_test" >/dev/null
 "$build_dir/tests/core_test" >/dev/null
@@ -161,6 +172,9 @@ gate_file src/mq/group.cpp "$group_file_baseline" || status=1
 gate_file src/stream/kafka_spout.cpp "$spout_file_baseline" || status=1
 gate_file src/common/metrics.cpp "$metrics_file_baseline" || status=1
 gate_file src/common/trace.cpp "$trace_file_baseline" || status=1
+gate_file src/sdn/switch.cpp "$switch_file_baseline" || status=1
+gate_file src/core/emulation.cpp "$emulation_file_baseline" || status=1
+gate_file src/nf/monitor.cpp "$monitor_file_baseline" || status=1
 for obs_src in src/obs/*.cpp; do
   gate_file "$obs_src" "$obs_file_baseline" || status=1
 done

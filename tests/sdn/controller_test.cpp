@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "net/decode.hpp"
 #include "pktgen/builder.hpp"
 
 namespace netalytics::sdn {
@@ -13,6 +14,15 @@ std::vector<std::byte> http_frame() {
                6};
   spec.pad_to_frame_size = 200;
   return pktgen::build_tcp_frame(spec);
+}
+
+/// Decode `frame` the way fabric ingress does and hand it to the switch.
+void send(SdnSwitch& sw, std::uint32_t in_port,
+          std::span<const std::byte> frame, common::Timestamp ts) {
+  auto pkt = net::decode_packet(frame);
+  ASSERT_TRUE(pkt.has_value());
+  pkt->timestamp = ts;
+  sw.handle_packet(in_port, *pkt);
 }
 
 TEST(Controller, InstallRuleOnRegisteredSwitch) {
@@ -76,10 +86,10 @@ TEST(Controller, ReactiveForwardingAppInvoked) {
   });
   ctrl.register_switch(sw);
   int delivered = 0;
-  sw.connect_port(0, [&delivered](std::span<const std::byte>, common::Timestamp) {
+  sw.connect_port(0, [&delivered](const net::DecodedPacket&) {
     ++delivered;
   });
-  sw.handle_packet(2, http_frame(), 0);
+  send(sw, 2, http_frame(), 0);
   EXPECT_EQ(app_calls, 1);
   EXPECT_EQ(delivered, 1);
   EXPECT_EQ(ctrl.packet_in_count(), 1u);
@@ -89,7 +99,7 @@ TEST(Controller, NoAppMissDrops) {
   SdnSwitch sw(1);
   Controller ctrl;
   ctrl.register_switch(sw);
-  sw.handle_packet(2, http_frame(), 0);
+  send(sw, 2, http_frame(), 0);
   EXPECT_EQ(sw.stats().dropped, 1u);
   EXPECT_EQ(ctrl.packet_in_count(), 1u);
 }
@@ -101,9 +111,9 @@ TEST(Controller, SharedMatchMergesMirrors) {
   Controller ctrl;
   ctrl.register_switch(sw);
   int mon_a = 0, mon_b = 0, delivered = 0;
-  sw.connect_port(0, [&](std::span<const std::byte>, common::Timestamp) { ++delivered; });
-  sw.connect_port(11, [&](std::span<const std::byte>, common::Timestamp) { ++mon_a; });
-  sw.connect_port(12, [&](std::span<const std::byte>, common::Timestamp) { ++mon_b; });
+  sw.connect_port(0, [&](const net::DecodedPacket&) { ++delivered; });
+  sw.connect_port(11, [&](const net::DecodedPacket&) { ++mon_a; });
+  sw.connect_port(12, [&](const net::DecodedPacket&) { ++mon_b; });
 
   FlowMatch match;
   match.dst_port = 80;
@@ -113,14 +123,14 @@ TEST(Controller, SharedMatchMergesMirrors) {
   EXPECT_NE(*c1, *c2);
   EXPECT_EQ(sw.table().size(), 1u);  // one merged rule
 
-  sw.handle_packet(1, http_frame(), 0);
+  send(sw, 1, http_frame(), 0);
   EXPECT_EQ(delivered, 1);
   EXPECT_EQ(mon_a, 1);
   EXPECT_EQ(mon_b, 1);
 
   // Detaching one query keeps the other's mirror alive.
   EXPECT_TRUE(ctrl.remove_rule(1, *c1));
-  sw.handle_packet(1, http_frame(), 1);
+  send(sw, 1, http_frame(), 1);
   EXPECT_EQ(mon_a, 1);
   EXPECT_EQ(mon_b, 2);
   EXPECT_EQ(delivered, 2);
@@ -163,9 +173,9 @@ TEST(Controller, FlowStatsReflectTraffic) {
   FlowRule rule;
   rule.actions = {OutputAction{0}};
   ctrl.install_rule(1, rule, 0);
-  sw.connect_port(0, [](std::span<const std::byte>, common::Timestamp) {});
-  sw.handle_packet(2, http_frame(), 0);
-  sw.handle_packet(2, http_frame(), 1);
+  sw.connect_port(0, [](const net::DecodedPacket&) {});
+  send(sw, 2, http_frame(), 0);
+  send(sw, 2, http_frame(), 1);
   const auto stats = ctrl.flow_stats(1);
   ASSERT_EQ(stats.size(), 1u);
   EXPECT_EQ(stats[0].packet_count, 2u);
