@@ -24,10 +24,14 @@ void BM_OutputBatchSize(benchmark::State& state) {
   const std::size_t batch = static_cast<std::size_t>(state.range(0));
   mq::Cluster cluster(1);
   mq::Producer producer(cluster, 1);
+  common::MetricsRegistry registry;
+  auto& records = registry.counter("records");
+  auto& bytes = registry.counter("bytes");
   nf::OutputInterface out(
       [&producer](std::string_view topic, std::vector<std::byte> payload,
                   const nf::BatchInfo&) { producer.send(topic, std::move(payload), 0); },
       batch);
+  out.bind_counters(&records, &bytes, nullptr);
   std::uint64_t id = 0;
   for (auto _ : state) {
     out.emit(sample_record(id++));
@@ -35,8 +39,8 @@ void BM_OutputBatchSize(benchmark::State& state) {
   out.flush();
   state.SetItemsProcessed(state.iterations());
   state.counters["bytes/record"] = benchmark::Counter(
-      static_cast<double>(out.stats().bytes) /
-      std::max<double>(1.0, static_cast<double>(out.stats().records)));
+      static_cast<double>(bytes.value()) /
+      std::max<double>(1.0, static_cast<double>(records.value())));
 }
 BENCHMARK(BM_OutputBatchSize)->Arg(1)->Arg(8)->Arg(64)->Arg(256);
 

@@ -7,8 +7,6 @@
 //   1. raw metric-op cost (inc / gauge set / observe), ns per op;
 //   2. monitor inline-path throughput (same cell as Figure 5, 256 B HTTP),
 //      which crosses every instrumented layer of the monitor.
-// Build once normally and once with -DNETALYTICS_NO_METRICS=ON and compare
-// the Mpps lines: the acceptance budget for this repo is 2%.
 #include <chrono>
 #include <cstdio>
 
@@ -67,12 +65,7 @@ double monitor_mpps() {
 
 int main() {
   parsers::register_builtin_parsers();
-#ifdef NETALYTICS_NO_METRICS
-  const char* mode = "NETALYTICS_NO_METRICS (mutations compiled out)";
-#else
-  const char* mode = "instrumented (relaxed-atomic hot path)";
-#endif
-  std::printf("== Metrics overhead (%s) ==\n", mode);
+  std::printf("== Metrics overhead ==\n");
 
   common::MetricsRegistry registry;
   auto& counter = registry.counter("bench.hits");
@@ -96,7 +89,5 @@ int main() {
   const double b = monitor_mpps();
   std::printf("%-28s %8.2f Mpps\n", "monitor inline path (256B)",
               a >= b ? a : b);
-  std::printf("\ncompare this Mpps line against a build with "
-              "-DNETALYTICS_NO_METRICS=ON (budget: 2%%)\n");
   return 0;
 }

@@ -18,15 +18,11 @@ HistogramMetric::HistogramMetric(std::vector<std::uint64_t> upper_bounds)
 }
 
 void HistogramMetric::observe(std::uint64_t sample) noexcept {
-#ifndef NETALYTICS_NO_METRICS
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), sample);
   const std::size_t idx = static_cast<std::size_t>(it - bounds_.begin());
   buckets_[idx].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
   sum_.fetch_add(sample, std::memory_order_relaxed);
-#else
-  (void)sample;
-#endif
 }
 
 std::uint64_t HistogramMetric::bucket(std::size_t i) const {

@@ -6,10 +6,8 @@
 // stage-by-stage and end-to-end latency histograms.
 //
 // Hot-path contract: an increment is a single relaxed atomic add (a
-// histogram observe is three), so instrumented code stays within noise of
-// uninstrumented code. Building with -DNETALYTICS_NO_METRICS compiles every
-// mutation down to a no-op while keeping the API intact (the
-// bench_metrics_overhead harness compares the two builds).
+// histogram observe is three), cheap enough that metrics are always on:
+// reconcile(), the LIMIT check and every *Stats view read these counters.
 //
 // Determinism: nothing in here reads a clock. All latencies are computed by
 // callers from the virtual timestamps already flowing through the pipeline,
@@ -33,11 +31,7 @@ namespace netalytics::common {
 class Counter {
  public:
   void inc(std::uint64_t n = 1) noexcept {
-#ifndef NETALYTICS_NO_METRICS
     value_.fetch_add(n, std::memory_order_relaxed);
-#else
-    (void)n;
-#endif
   }
   std::uint64_t value() const noexcept {
     return value_.load(std::memory_order_relaxed);
@@ -51,18 +45,10 @@ class Counter {
 class Gauge {
  public:
   void set(std::int64_t v) noexcept {
-#ifndef NETALYTICS_NO_METRICS
     value_.store(v, std::memory_order_relaxed);
-#else
-    (void)v;
-#endif
   }
   void add(std::int64_t d) noexcept {
-#ifndef NETALYTICS_NO_METRICS
     value_.fetch_add(d, std::memory_order_relaxed);
-#else
-    (void)d;
-#endif
   }
   std::int64_t value() const noexcept {
     return value_.load(std::memory_order_relaxed);

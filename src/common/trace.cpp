@@ -176,17 +176,4 @@ std::uint64_t DropLedger::total_losses() const noexcept {
   return n;
 }
 
-std::string DropLedger::render() const {
-  std::string out;
-  for (std::size_t i = 0; i < kDropCauseCount; ++i) {
-    const std::uint64_t v = counters_[i]->value();
-    if (v == 0) continue;
-    out += drop_cause_name(static_cast<DropCause>(i));
-    out += ' ';
-    out += std::to_string(v);
-    out += '\n';
-  }
-  return out;
-}
-
 }  // namespace netalytics::common

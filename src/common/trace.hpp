@@ -161,9 +161,6 @@ class DropLedger {
   /// Sum over loss causes only (the reconciliation term).
   std::uint64_t total_losses() const noexcept;
 
-  /// "cause count" lines for every nonzero cause, in enum order.
-  std::string render() const;
-
  private:
   Counter* counters_[kDropCauseCount];
 };

@@ -63,14 +63,6 @@ common::Expected<void> EngineConfig::validate() const {
   if (mq_brokers == 0) {
     return Error{"config", "mq_brokers must be > 0"};
   }
-  if (tick_interval == 0) {
-    return Error{"config", "tick_interval must be > 0"};
-  }
-  if (feedback_low_occupancy > feedback_high_occupancy) {
-    return Error{"config",
-                 "feedback_low_occupancy must not exceed "
-                 "feedback_high_occupancy"};
-  }
   if (processor_parallelism == 0) {
     return Error{"config", "processor_parallelism must be > 0"};
   }
@@ -91,16 +83,11 @@ common::Expected<void> EngineConfig::validate() const {
   if (producer_batch.max_records == 0) {
     return Error{"config", "producer_batch.max_records must be > 0"};
   }
-  if (producer_batch.linger > tick_interval) {
+  if (producer_batch.linger > kTickInterval) {
     return Error{"config",
-                 "producer_batch.linger must not exceed tick_interval"};
+                 "producer_batch.linger must not exceed the 1 s engine tick"};
   }
   if (auto ok = tsdb_store.validate(); !ok) return ok.error();
-  if (executor_profiler && !stream::profiler_available()) {
-    return Error{"config",
-                 "executor_profiler requires a metrics-enabled build "
-                 "(built with NETALYTICS_NO_METRICS)"};
-  }
   if (!obs::valid_metric_prefix(obs_export.metric_prefix)) {
     return Error{"config",
                  "obs_export.metric_prefix must match "
@@ -126,14 +113,9 @@ common::Expected<void> FederationConfig::validate() const {
   if (records_per_frame == 0) {
     return Error{"config", "records_per_frame must be > 0"};
   }
-  if (reconnect_backoff == 0 || reconnect_backoff > reconnect_backoff_max) {
-    return Error{"config",
-                 "reconnect_backoff must be in (0, reconnect_backoff_max]"};
-  }
   if (top_k == 0) {
     return Error{"config", "top_k must be > 0"};
   }
-  if (auto ok = parent_store.validate(); !ok) return ok.error();
   if (!obs::valid_metric_prefix(parent_export.metric_prefix)) {
     return Error{"config",
                  "parent_export.metric_prefix must match "
@@ -453,10 +435,19 @@ void NetAlytics::build_processors(QueryHandle& q) {
   }
 }
 
+namespace {
+
+/// Feedback-driven sampling (§4.2): halve the rate above the high occupancy
+/// watermark, recover below the low one.
+constexpr double kFeedbackHighOccupancy = 0.5;
+constexpr double kFeedbackLowOccupancy = 0.1;
+
+}  // namespace
+
 void NetAlytics::apply_feedback(QueryHandle& q, double occupancy) {
-  if (occupancy >= config_.feedback_high_occupancy) {
+  if (occupancy >= kFeedbackHighOccupancy) {
     for (auto* m : q.monitors) m->on_backpressure();
-  } else if (occupancy <= config_.feedback_low_occupancy) {
+  } else if (occupancy <= kFeedbackLowOccupancy) {
     for (auto* m : q.monitors) m->set_sample_rate(std::min(1.0, m->sample_rate() + 0.05));
   }
 }
@@ -484,7 +475,7 @@ void NetAlytics::pump(common::Timestamp now) {
 
     for (auto& topo : q.topologies) topo->run_until_idle(now);
 
-    if (now - q.last_tick >= config_.tick_interval) {
+    if (now - q.last_tick >= kTickInterval) {
       // Monitor ticks flush aggregating parsers (tcp_pkt_size windows),
       // then the topologies' windows advance on the fresh data. The ticked
       // records join open producer batches, so drain those immediately —
@@ -508,7 +499,7 @@ void NetAlytics::pump(common::Timestamp now) {
   // One registry snapshot per tick interval feeds the tiered store (the
   // first pump captures immediately).
   if (store_.enabled() &&
-      (!captured_once_ || now - last_capture_ >= config_.tick_interval)) {
+      (!captured_once_ || now - last_capture_ >= kTickInterval)) {
     store_.capture(now, metrics_.snapshot());
     last_capture_ = now;
     captured_once_ = true;

@@ -30,6 +30,11 @@ using Agg = tsdb::Agg;
 using RangeQuery = tsdb::RangeQuery;
 using RangeResult = tsdb::RangeResult;
 
+/// Engine tick: every pump at least this far past the last tick advances
+/// monitor ticks, topology windows and the tsdb capture cadence. Fixed at
+/// one second because ProcessorParams::get_ticks reads "w=30s" as 30 ticks.
+inline constexpr common::Duration kTickInterval = common::kSecond;
+
 struct EngineConfig {
   std::size_t mq_brokers = 2;
   mq::BrokerConfig broker{};  // default: RAM-disk persistence (§6.1)
@@ -60,11 +65,6 @@ struct EngineConfig {
   /// rebalances (tests/core/group_rebalance_reconcile_test.cpp); sizes
   /// beyond broker.partitions_per_topic × mq_brokers leave members idle.
   std::size_t spout_group_size = 1;
-  common::Duration tick_interval = common::kSecond;
-  /// Feedback-driven sampling (§4.2): halve the rate above the high
-  /// occupancy watermark, recover below the low one.
-  double feedback_high_occupancy = 0.5;
-  double feedback_low_occupancy = 0.1;
   /// Monitor tuning knobs applied to every deployed monitor.
   std::size_t monitor_output_batch = 32;
   /// Retry/backoff policy for every monitor's producer (at-least-once
@@ -73,7 +73,7 @@ struct EngineConfig {
   /// Kafka-style producer accumulation: record batches ship to the brokers
   /// in groups (one partition-lock acquisition per group) instead of one
   /// broker round-trip per send. linger = 0 means open batches ship at the
-  /// next engine pump; it must not exceed tick_interval or batched records
+  /// next engine pump; it must not exceed kTickInterval or batched records
   /// would miss their window tick.
   mq::BatchPolicy producer_batch{.max_records = 32,
                                  .max_bytes = 256 * 1024,
@@ -91,16 +91,14 @@ struct EngineConfig {
   /// Executor stage profiler (docs/OBSERVABILITY.md): per-task wall-clock
   /// self-time / queue-wait / pool-event counters published under
   /// "q<id>.proc<i>.profiler.*". Off by default — wall-clock series are
-  /// excluded from the determinism contract — and rejected by
-  /// validate() in a NETALYTICS_NO_METRICS build.
+  /// excluded from the determinism contract.
   bool executor_profiler = false;
   /// Export-layer knobs (src/obs/): the Prometheus metric-family prefix
   /// and the chrome://tracing span cap, validated with the other fields.
   obs::ExportOptions obs_export{};
 
-  /// Reject configurations that cannot run: zero brokers, a zero tick
-  /// interval, inverted feedback watermarks, zero processor parallelism,
-  /// an absurd executor worker count or spout group size.
+  /// Reject configurations that cannot run: zero brokers, zero processor
+  /// parallelism, an absurd executor worker count or spout group size.
   /// The NetAlytics constructor throws on a bad config; submit() returns
   /// the same error recoverably.
   common::Expected<void> validate() const;
@@ -130,18 +128,11 @@ struct FederationConfig {
   std::size_t replay_capacity = 1024;
   /// Max records batched into one RECORDS frame.
   std::size_t records_per_frame = 64;
-  /// Reconnect backoff after a link drop: first retry after
-  /// `reconnect_backoff`, doubling up to `reconnect_backoff_max`, reset
-  /// on a completed handshake.
-  common::Duration reconnect_backoff = 200 * common::kMillisecond;
-  common::Duration reconnect_backoff_max = 2 * common::kSecond;
   /// Global fan-in top-k size kept by the parent.
   std::size_t top_k = 10;
   /// Record-field index the parent's fan-in counts keys from (e.g. 3 =
   /// "value" in the http_get schema).
   std::size_t key_field = 0;
-  /// Parent-side tiered store for the fleet's metric history.
-  tsdb::StoreConfig parent_store{};
   /// Parent-side Prometheus export options (fleet-prefixed families).
   obs::ExportOptions parent_export{};
 

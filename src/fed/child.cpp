@@ -3,22 +3,23 @@
 #include <algorithm>
 #include <map>
 #include <utility>
-#include <variant>
 
 namespace netalytics::fed {
 
 namespace {
+
+/// Reconnect backoff after a link drop: first retry after kReconnectBackoff
+/// of virtual time, doubling up to kReconnectBackoffMax, reset on a
+/// completed handshake.
+constexpr common::Duration kReconnectBackoff = 200 * common::kMillisecond;
+constexpr common::Duration kReconnectBackoffMax = 2 * common::kSecond;
 
 nf::Record to_record(const stream::Tuple& t, common::Timestamp now) {
   nf::Record r;
   r.topic = "fed";
   r.id = 0;  // results are post-analytics rows, not flow-keyed packets
   r.timestamp = now;
-  r.fields.reserve(t.values.size());
-  for (const auto& v : t.values) {
-    r.fields.push_back(
-        std::visit([](const auto& x) { return nf::FieldValue(x); }, v));
-  }
+  r.fields = t.values;
   r.trace = t.trace;
   return r;
 }
@@ -230,8 +231,8 @@ void ChildNode::enter_backoff(common::Timestamp now) {
 
 void ChildNode::schedule_retry(common::Timestamp now) {
   backoff_ = backoff_ == 0
-                 ? cfg_.reconnect_backoff
-                 : std::min(backoff_ * 2, cfg_.reconnect_backoff_max);
+                 ? kReconnectBackoff
+                 : std::min(backoff_ * 2, kReconnectBackoffMax);
   reconnect_at_ = now + backoff_;
 }
 

@@ -32,8 +32,6 @@ struct ChildConfig {
   std::string name;  // defaults to "child<index>"
   std::size_t replay_capacity = 1024;
   std::size_t records_per_frame = 64;
-  common::Duration reconnect_backoff = 200 * common::kMillisecond;
-  common::Duration reconnect_backoff_max = 2 * common::kSecond;
 };
 
 /// Child-side streaming statistics (kept off the engine registry so the

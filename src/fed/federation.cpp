@@ -11,9 +11,7 @@ ChildConfig child_config(const core::FederationConfig& cfg, std::size_t i) {
   return ChildConfig{.index = static_cast<std::uint32_t>(i),
                      .name = "child" + std::to_string(i),
                      .replay_capacity = cfg.replay_capacity,
-                     .records_per_frame = cfg.records_per_frame,
-                     .reconnect_backoff = cfg.reconnect_backoff,
-                     .reconnect_backoff_max = cfg.reconnect_backoff_max};
+                     .records_per_frame = cfg.records_per_frame};
 }
 
 }  // namespace
@@ -41,7 +39,6 @@ Federation::Federation(core::FederationConfig cfg, common::FaultPlan* faults)
       std::move(links), ParentConfig{.children = cfg_.children,
                                      .top_k = cfg_.top_k,
                                      .key_field = cfg_.key_field,
-                                     .store = cfg_.parent_store,
                                      .export_options = cfg_.parent_export});
 }
 
@@ -85,7 +82,7 @@ common::Timestamp Federation::settle(common::Timestamp from,
     // Three consecutive unchanged quiescent rounds: nothing is still
     // draining anywhere in the pipeline (engine, link, or replay buffer).
     if (stable >= 3) return t;
-    t += cfg_.child_engine.tick_interval;
+    t += core::kTickInterval;
   }
   return t;
 }

@@ -91,7 +91,7 @@ class Federation {
   /// One federation round at `now` (see file comment for the order).
   void pump(common::Timestamp now);
 
-  /// Pump at `from`, then keep pumping every child tick_interval until the
+  /// Pump at `from`, then keep pumping every core::kTickInterval until the
   /// fleet is quiescent — links drained, every child streaming with no
   /// unapplied backlog, and watermarks stable for a few rounds — or
   /// `max_rounds` is exhausted (armed outage windows are waited out).

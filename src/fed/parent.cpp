@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 #include <utility>
-#include <variant>
 
 #include "obs/prometheus.hpp"
 #include "stream/tuple.hpp"
@@ -14,8 +13,7 @@ namespace {
 
 std::string key_of(const nf::Record& r, std::size_t field) {
   if (field >= r.fields.size()) return "<missing>";
-  return stream::format_value(std::visit(
-      [](const auto& x) { return stream::Value(x); }, r.fields[field]));
+  return stream::format_value(r.fields[field]);
 }
 
 }  // namespace
@@ -24,7 +22,7 @@ ParentNode::ParentNode(std::vector<Link*> links, ParentConfig cfg)
     : cfg_(std::move(cfg)),
       slots_(links.size()),
       fanin_(links.empty() ? 1 : links.size(), cfg_.top_k),
-      store_(cfg_.store) {
+      store_(tsdb::StoreConfig{}) {
   if (links.empty()) {
     throw std::invalid_argument("ParentNode: at least one child link");
   }

@@ -32,8 +32,6 @@ struct ParentConfig {
   std::size_t top_k = 10;
   /// Record-field index the fan-in counts keys from.
   std::size_t key_field = 0;
-  /// Fleet metric history (per-pump captures of the fleet registry).
-  tsdb::StoreConfig store{};
   /// Prometheus export options for the fleet exposition.
   obs::ExportOptions export_options{};
 };

@@ -7,6 +7,13 @@
 
 namespace netalytics::mq {
 
+namespace {
+
+/// How far the simulated disk may lag behind `now` before produce blocks.
+constexpr common::Duration kMaxPersistLag = 50 * common::kMillisecond;
+
+}  // namespace
+
 Broker::Broker(BrokerConfig config) : config_(config) {
   if (config_.partitions_per_topic == 0) config_.partitions_per_topic = 1;
   if (config_.partition_capacity == 0) config_.partition_capacity = 1;
@@ -108,7 +115,7 @@ std::uint64_t Broker::evict_front(Partition& part) {
 
 bool Broker::disk_admit(std::size_t bytes, common::Timestamp now) {
   // Disk persistence model: every byte takes 1/rate seconds to persist; the
-  // log's write point may lag `now` by at most max_persist_lag.
+  // log's write point may lag `now` by at most kMaxPersistLag.
   if (config_.persist_bytes_per_sec == 0) return true;
   const common::Duration cost = static_cast<common::Duration>(
       static_cast<double>(bytes) /
@@ -116,7 +123,7 @@ bool Broker::disk_admit(std::size_t bytes, common::Timestamp now) {
       static_cast<double>(common::kSecond));
   std::lock_guard lock(disk_mutex_);
   const common::Timestamp start = std::max(disk_busy_until_, now);
-  if (start + cost > now + config_.max_persist_lag) return false;
+  if (start + cost > now + kMaxPersistLag) return false;
   disk_busy_until_ = start + cost;
   return true;
 }

@@ -70,8 +70,6 @@ struct BrokerConfig {
   std::size_t partition_capacity = 65536;   // retained messages per partition
   double high_watermark = 0.75;             // occupancy ratio -> low_buffer
   std::uint64_t persist_bytes_per_sec = 0;  // 0 = RAM disk (unlimited)
-  /// How far the simulated disk may lag behind `now` before produce blocks.
-  common::Duration max_persist_lag = 50 * common::kMillisecond;
   /// Kafka-style retention.ms: messages whose append_ts is older than this
   /// are evicted on the produce path (virtual time only advances through
   /// produce), regardless of partition occupancy. 0 disables age retention,

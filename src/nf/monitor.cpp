@@ -9,6 +9,17 @@
 
 namespace netalytics::nf {
 
+namespace {
+
+constexpr std::size_t kWorkerRingCapacity = 4096;
+/// Packets a collector or worker pops from its ring per bulk pop.
+constexpr std::size_t kBurstSize = 32;
+/// Wall-clock interval between a threaded worker's parser on_tick calls
+/// (aggregating parsers flush here).
+constexpr common::Duration kWorkerTickInterval = 100 * common::kMillisecond;
+
+}  // namespace
+
 Monitor::Monitor(MonitorConfig config, BatchSink sink)
     : config_(std::move(config)),
       sink_(std::move(sink)),
@@ -48,7 +59,7 @@ Monitor::Monitor(MonitorConfig config, BatchSink sink)
       auto worker = std::make_unique<Worker>();
       worker->parser = ParserRegistry::instance().make(spec.name);
       worker->ring =
-          std::make_unique<common::SpscRing<WorkItem>>(config_.worker_ring_capacity);
+          std::make_unique<common::SpscRing<WorkItem>>(kWorkerRingCapacity);
       worker->output =
           std::make_unique<OutputInterface>(sink_, config_.output_batch_records);
       worker->output->set_tracer(config_.tracer);
@@ -163,7 +174,7 @@ void Monitor::parse_guarded(Worker& w, const net::DecodedPacket& decoded,
 }
 
 void Monitor::collector_loop() {
-  std::vector<net::PacketPtr> burst(config_.burst_size);
+  std::vector<net::PacketPtr> burst(kBurstSize);
   while (true) {
     const std::size_t n = rx_ring_.try_pop_bulk(burst);
     if (n == 0) {
@@ -201,14 +212,14 @@ void Monitor::collector_loop() {
 }
 
 void Monitor::worker_loop(Worker& w) {
-  std::vector<WorkItem> burst(config_.burst_size);
+  std::vector<WorkItem> burst(kBurstSize);
   common::Timestamp last_tick = common::wall_now_ns();
   while (true) {
     const std::size_t n = w.ring->try_pop_bulk(burst);
     if (n == 0) {
       if (collector_done_.load(std::memory_order_acquire)) break;
       const common::Timestamp now = common::wall_now_ns();
-      if (now - last_tick >= config_.tick_interval) {
+      if (now - last_tick >= kWorkerTickInterval) {
         w.parser->on_tick(now, *w.output);
         w.output->flush();
         last_tick = now;

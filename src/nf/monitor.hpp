@@ -46,12 +46,8 @@ struct ParserSpec {
 struct MonitorConfig {
   std::vector<ParserSpec> parsers;
   std::size_t rx_ring_capacity = 8192;
-  std::size_t worker_ring_capacity = 4096;
-  std::size_t burst_size = 32;
   std::size_t output_batch_records = 64;
   double sample_rate = 1.0;
-  /// Interval between parser on_tick calls (aggregating parsers flush here).
-  common::Duration tick_interval = 100 * common::kMillisecond;
 
   /// Registry the monitor's counters live in. Null = the monitor owns a
   /// private registry (standalone use); the engine always binds its own and

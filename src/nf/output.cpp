@@ -28,9 +28,6 @@ void OutputInterface::flush(common::Timestamp now) {
 void OutputInterface::ship(std::string_view topic, std::vector<Record>& batch,
                            common::Timestamp ship_time) {
   auto payload = serialize_batch(batch);
-  records_.fetch_add(batch.size(), std::memory_order_relaxed);
-  bytes_.fetch_add(payload.size(), std::memory_order_relaxed);
-  batches_.fetch_add(1, std::memory_order_relaxed);
   if (records_ctr_ != nullptr) records_ctr_->inc(batch.size());
   if (bytes_ctr_ != nullptr) bytes_ctr_->inc(payload.size());
   if (batches_ctr_ != nullptr) batches_ctr_->inc();

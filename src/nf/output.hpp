@@ -40,14 +40,9 @@ using BatchSink = std::function<void(std::string_view topic,
                                      std::vector<std::byte> payload,
                                      const BatchInfo& info)>;
 
-struct OutputStats {
-  std::uint64_t records = 0;
-  std::uint64_t batches = 0;
-  std::uint64_t bytes = 0;
-};
-
 /// Per-worker batching stage. emit()/flush() are single-threaded (each
-/// worker owns one instance); stats() may be read from other threads.
+/// worker owns one instance); shipped records, bytes and batches are
+/// counted in the registry counters bind_counters() hands in.
 class OutputInterface final : public RecordSink {
  public:
   OutputInterface(BatchSink sink, std::size_t batch_records = 64);
@@ -86,14 +81,9 @@ class OutputInterface final : public RecordSink {
     batches_ctr_ = batches;
   }
 
-  OutputStats stats() const noexcept {
-    return {records_.load(std::memory_order_relaxed),
-            batches_.load(std::memory_order_relaxed),
-            bytes_.load(std::memory_order_relaxed)};
-  }
-
-  /// Records emitted so far, including ones still pending in open batches.
-  /// stats().records lags this by the pending count (it counts at ship()).
+  /// Records emitted so far, including ones still pending in open batches
+  /// (the bound records counter lags this by the pending count: it counts
+  /// at ship()).
   std::uint64_t emitted() const noexcept {
     return emitted_.load(std::memory_order_relaxed);
   }
@@ -112,9 +102,6 @@ class OutputInterface final : public RecordSink {
   common::Counter* batches_ctr_ = nullptr;
   std::size_t batch_records_;
   std::map<std::string, std::vector<Record>, std::less<>> pending_;
-  std::atomic<std::uint64_t> records_{0};
-  std::atomic<std::uint64_t> batches_{0};
-  std::atomic<std::uint64_t> bytes_{0};
   std::atomic<std::uint64_t> emitted_{0};
 };
 

@@ -1,6 +1,7 @@
 #include "nf/record.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "common/byte_io.hpp"
 
@@ -10,9 +11,10 @@ namespace {
 
 enum class FieldTag : std::uint8_t { i64 = 0, u64 = 1, f64 = 2, str = 3 };
 
-// Batch layouts. Batches are built per topic by the output interface, so
-// the common case hoists the topic string out of every record.
-enum class BatchLayout : std::uint8_t { uniform_topic = 1, per_record_topic = 2 };
+// Batch layout byte. Batches are built per topic (the output interface and
+// the federation child both batch per topic), so the topic string is
+// written once, ahead of the records.
+inline constexpr std::uint8_t kUniformTopicLayout = 1;
 
 // Set on the layout byte when a trace trailer (count + [index, trace id]
 // pairs for every traced record) follows the records. Untraced batches are
@@ -20,16 +22,13 @@ enum class BatchLayout : std::uint8_t { uniform_topic = 1, per_record_topic = 2 
 inline constexpr std::uint8_t kTraceTrailerFlag = 0x80;
 
 // Smallest encodings, which bound every decoded count by the bytes left:
-// a record is id + timestamp + field count (plus a topic length prefix in
-// the per-record layout); a field is a tag and at least a string length
-// prefix; a trace trailer entry is an index and an id.
+// a record is id + timestamp + field count; a field is a tag and at least a
+// string length prefix; a trace trailer entry is an index and an id.
 inline constexpr std::size_t kMinRecordBytes = 8 + 8 + 2;
-inline constexpr std::size_t kMinTopicBytes = 4;
 inline constexpr std::size_t kMinFieldBytes = 1 + 4;
 inline constexpr std::size_t kTraceEntryBytes = 4 + 8;
 
-void write_record(common::ByteWriter& w, const Record& r, bool with_topic) {
-  if (with_topic) w.str(r.topic);
+void write_record(common::ByteWriter& w, const Record& r) {
   w.u64(r.id);
   w.u64(r.timestamp);
   w.u16(static_cast<std::uint16_t>(r.fields.size()));
@@ -55,9 +54,9 @@ void write_record(common::ByteWriter& w, const Record& r, bool with_topic) {
   }
 }
 
-Record read_record(common::ByteReader& r, const std::string* shared_topic) {
+Record read_record(common::ByteReader& r, const std::string& topic) {
   Record rec;
-  rec.topic = shared_topic != nullptr ? *shared_topic : r.str();
+  rec.topic = topic;
   rec.id = r.u64();
   rec.timestamp = r.u64();
   const std::size_t n = r.bounded_count(r.u16(), kMinFieldBytes);
@@ -85,28 +84,22 @@ Record read_record(common::ByteReader& r, const std::string* shared_topic) {
 
 }  // namespace
 
-std::size_t serialized_size(const Record& r) {
-  common::ByteWriter w;
-  write_record(w, r, /*with_topic=*/true);
-  return w.size();
-}
-
 std::vector<std::byte> serialize_batch(std::span<const Record> records) {
-  common::ByteWriter w;
-  const bool uniform =
-      !records.empty() &&
-      std::all_of(records.begin(), records.end(),
-                  [&](const Record& r) { return r.topic == records[0].topic; });
+  const std::string_view topic =
+      records.empty() ? std::string_view{} : std::string_view{records[0].topic};
+  if (!std::all_of(records.begin(), records.end(),
+                   [&](const Record& r) { return r.topic == topic; })) {
+    throw std::invalid_argument("serialize_batch: records of mixed topics");
+  }
   const std::uint32_t traced = static_cast<std::uint32_t>(std::count_if(
       records.begin(), records.end(),
       [](const Record& r) { return r.trace != 0; }));
-  std::uint8_t layout = static_cast<std::uint8_t>(
-      uniform ? BatchLayout::uniform_topic : BatchLayout::per_record_topic);
-  if (traced != 0) layout |= kTraceTrailerFlag;
-  w.u8(layout);
-  if (uniform) w.str(records[0].topic);
+  common::ByteWriter w;
+  w.u8(traced != 0 ? kUniformTopicLayout | kTraceTrailerFlag
+                   : kUniformTopicLayout);
+  w.str(topic);
   w.u32(static_cast<std::uint32_t>(records.size()));
-  for (const auto& rec : records) write_record(w, rec, !uniform);
+  for (const auto& rec : records) write_record(w, rec);
   if (traced != 0) {
     w.u32(traced);
     for (std::uint32_t i = 0; i < records.size(); ++i) {
@@ -122,21 +115,14 @@ std::vector<Record> deserialize_batch(std::span<const std::byte> payload) {
   common::ByteReader r(payload);
   const std::uint8_t raw_layout = r.u8();
   const bool has_traces = (raw_layout & kTraceTrailerFlag) != 0;
-  const auto layout = static_cast<BatchLayout>(raw_layout & ~kTraceTrailerFlag);
-  if (layout != BatchLayout::uniform_topic &&
-      layout != BatchLayout::per_record_topic) {
+  if ((raw_layout & ~kTraceTrailerFlag) != kUniformTopicLayout) {
     throw std::out_of_range("Record batch: unknown layout");
   }
-  std::string shared_topic;
-  const bool uniform = layout == BatchLayout::uniform_topic;
-  if (uniform) shared_topic = r.str();
-  const std::size_t n = r.bounded_count(
-      r.u32(), kMinRecordBytes + (uniform ? 0 : kMinTopicBytes));
+  const std::string topic = r.str();
+  const std::size_t n = r.bounded_count(r.u32(), kMinRecordBytes);
   std::vector<Record> out;
   out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    out.push_back(read_record(r, uniform ? &shared_topic : nullptr));
-  }
+  for (std::size_t i = 0; i < n; ++i) out.push_back(read_record(r, topic));
   if (has_traces) {
     const std::size_t traced = r.bounded_count(r.u32(), kTraceEntryBytes);
     for (std::size_t i = 0; i < traced; ++i) {

@@ -31,10 +31,9 @@ struct Record {
   bool operator==(const Record&) const = default;
 };
 
-/// Serialized size of one record (for data-reduction accounting).
-std::size_t serialized_size(const Record& r);
-
-/// Serialize a batch of records into one message payload.
+/// Serialize a batch of records into one message payload. Every record must
+/// carry the same topic (it is written once); throws std::invalid_argument
+/// on a mixed-topic span.
 std::vector<std::byte> serialize_batch(std::span<const Record> records);
 
 /// Inverse of serialize_batch. Throws std::out_of_range on corrupt input,

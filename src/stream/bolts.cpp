@@ -1,31 +1,30 @@
 #include "stream/bolts.hpp"
 
 #include <algorithm>
+#include <iterator>
+#include <type_traits>
 
 #include "common/byte_io.hpp"
 #include "nf/record.hpp"
 
 namespace netalytics::stream {
 
-namespace {
-
-Value from_field(const nf::FieldValue& f) {
-  return std::visit([](const auto& v) -> Value { return v; }, f);
-}
-
-}  // namespace
+// A record field is a tuple value: records enter the stream (ParsingBolt)
+// and leave it for the federation wire (fed::ChildNode) without conversion.
+static_assert(std::is_same_v<nf::FieldValue, Value>);
 
 void ParsingBolt::execute(const Tuple& input, Collector& out) {
   // Input: [payload:string] — the serialized batch from an mq message.
   const auto& payload = as_str(input.at(0));
-  const auto records = nf::deserialize_batch(common::as_bytes(payload));
-  for (const auto& rec : records) {
+  auto records = nf::deserialize_batch(common::as_bytes(payload));
+  for (auto& rec : records) {
     Tuple t;
     t.trace = rec.trace;
     t.values.reserve(2 + rec.fields.size());
     t.values.emplace_back(std::uint64_t{rec.id});
     t.values.emplace_back(std::uint64_t{rec.timestamp});
-    for (const auto& f : rec.fields) t.values.push_back(from_field(f));
+    t.values.insert(t.values.end(), std::make_move_iterator(rec.fields.begin()),
+                    std::make_move_iterator(rec.fields.end()));
     out.emit(std::move(t));
   }
 }

@@ -16,7 +16,7 @@ const char* to_string(ExecutorMode mode) noexcept {
 }
 
 TopologyExecutor::TopologyExecutor(TopologySpec spec, ExecutorConfig exec)
-    : exec_(exec), graph_(std::move(spec), exec.profile && profiler_available()) {
+    : exec_(exec), graph_(std::move(spec), exec.profile) {
   if (exec_.workers == 0) exec_.workers = 1;
 }
 

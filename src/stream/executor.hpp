@@ -79,18 +79,6 @@ class TopologyExecutor {
   common::TraceRecorder* recorder_ = nullptr;
 };
 
-/// True when this build can honor ExecutorConfig::profile — the stage
-/// profiler publishes through registry counters, so a NETALYTICS_NO_METRICS
-/// build compiles its increments away and the executors skip the clock
-/// reads entirely.
-constexpr bool profiler_available() noexcept {
-#ifndef NETALYTICS_NO_METRICS
-  return true;
-#else
-  return false;
-#endif
-}
-
 /// Instantiate the executor `exec.mode` selects over `spec`.
 std::unique_ptr<TopologyExecutor> make_executor(TopologySpec spec,
                                                 ExecutorConfig exec = {});

@@ -28,8 +28,9 @@ struct ProcessorParams {
   /// an error naming the argument when it is malformed.
   common::Expected<std::uint64_t> get_u64(const std::string& key,
                                           std::uint64_t fallback) const;
-  /// A window length such as w, in ticks (one per second): "<n>", "<n>s"
-  /// or "<n>m" (60·n), the units the LIMIT clause reads. Absent and
+  /// A window length such as w, in ticks (one per core::kTickInterval,
+  /// one second): "<n>", "<n>s" or "<n>m" (60·n), the units the LIMIT
+  /// clause reads. Absent and
   /// malformed as for get_u64.
   common::Expected<std::uint64_t> get_ticks(const std::string& key,
                                             std::uint64_t fallback) const;

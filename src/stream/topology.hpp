@@ -82,7 +82,7 @@ const char* to_string(ExecutorMode mode) noexcept;
 /// self-time / queue-wait / pool-event counters published into the bound
 /// registry under "<prefix>.profiler." (see docs/OBSERVABILITY.md). Off by
 /// default because wall-clock values are not part of the determinism
-/// contract; ignored when built with NETALYTICS_NO_METRICS.
+/// contract.
 struct ExecutorConfig {
   std::size_t workers = 1;
   ExecutorMode mode = ExecutorMode::stepped;

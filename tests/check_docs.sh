@@ -27,6 +27,9 @@
 #      stop naming deleted free functions and methods). Names the docs
 #      cite on purpose without the tree providing them are listed in
 #      call_allowlist.
+#  10. a `-D<NAME>` CMake flag in the docs names no option() or CACHE
+#      variable that CMakeLists.txt declares (so docs stop naming deleted
+#      build switches).
 #
 # Wired into tests/run_ci.sh as the `docs` lane.
 set -eu
@@ -160,6 +163,17 @@ for name in $(grep -ho '`[^`]*`' $docs |
   fi
 done
 rm -f "$header_code"
+
+# 10. CMake -D flags must name a variable the top-level CMakeLists.txt
+# declares as an option() or a CACHE entry. The flag must start a word, so
+# prose such as "PktGen-DPDK" is not read as a flag.
+for name in $(grep -hoE '(^|[[:space:]`"(])-D[A-Za-z_][A-Za-z0-9_]*' $docs |
+              sed 's/.*-D//' | sort -u); do
+  if ! grep -qE "^[[:space:]]*(option\($name([[:space:]]|\$)|set\($name[[:space:]].*CACHE)" \
+         CMakeLists.txt; then
+    fail "docs pass -D$name, but CMakeLists.txt declares no such option"
+  fi
+done
 
 if [ -e "$repo_root/.check_docs_failed" ]; then
   rm -f "$repo_root/.check_docs_failed"

@@ -13,23 +13,15 @@ TEST(CounterTest, IncrementAccumulates) {
   EXPECT_EQ(c.value(), 0u);
   c.inc();
   c.inc(41);
-#ifndef NETALYTICS_NO_METRICS
   EXPECT_EQ(c.value(), 42u);
-#else
-  EXPECT_EQ(c.value(), 0u);
-#endif
 }
 
 TEST(GaugeTest, SetAndAdd) {
   Gauge g;
   g.set(10);
   g.add(-3);
-#ifndef NETALYTICS_NO_METRICS
   EXPECT_EQ(g.value(), 7);
-#endif
 }
-
-#ifndef NETALYTICS_NO_METRICS
 
 TEST(HistogramMetricTest, BucketBoundariesAreInclusiveUpperBounds) {
   HistogramMetric h({10, 20, 30});
@@ -129,8 +121,6 @@ TEST(StageTracerTest, UnknownOriginAndBackwardsStampsAreDroppedAndCounted) {
   EXPECT_EQ(tracer.histogram(StageTracer::Stage::consume).count(), 1u);
   EXPECT_EQ(tracer.histogram(StageTracer::Stage::consume).sum(), 0u);
 }
-
-#endif  // NETALYTICS_NO_METRICS
 
 }  // namespace
 }  // namespace netalytics::common

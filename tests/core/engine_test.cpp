@@ -241,7 +241,6 @@ TEST_F(EngineTest, AutoSamplingReactsToOverload) {
   // feedback loop lowers the monitors' sampling rate (§4.2).
   EngineConfig cfg;
   cfg.broker.partition_capacity = 32;
-  cfg.feedback_high_occupancy = 0.5;
   Emulation emu = Emulation::make_small(4);
   NetAlytics engine(emu, cfg);
 

@@ -50,8 +50,7 @@ void http_session(Emulation& emu, int port, common::Timestamp start,
 void expect_exact(NetAlytics& engine, const QueryHandle& q,
                   const char* where) {
   const auto report = engine.reconcile(q);
-  EXPECT_TRUE(report.exact()) << where << "\n"
-                              << report.render() << q.drop_ledger().render();
+  EXPECT_TRUE(report.exact()) << where << "\n" << report.render();
 }
 
 /// Everything a run exposes to a caller, captured for comparison.

@@ -57,8 +57,6 @@ TEST(MetricsDeterminismTest, IdenticalVirtualRunsRenderIdenticalMetrics) {
   EXPECT_EQ(results_a, results_b);
 }
 
-#ifndef NETALYTICS_NO_METRICS
-
 class MetricsPipelineTest : public ::testing::Test {
  protected:
   MetricsPipelineTest() : emu_(Emulation::make_small(4)), engine_(emu_) {}
@@ -157,8 +155,6 @@ TEST_F(MetricsPipelineTest, MonitorStatsShimSurvivesStop) {
             1u);
 }
 
-#endif  // NETALYTICS_NO_METRICS
-
 TEST(EngineConfigTest, ValidateRejectsImpossibleConfigs) {
   EngineConfig ok;
   EXPECT_TRUE(ok.validate().has_value());
@@ -168,15 +164,6 @@ TEST(EngineConfigTest, ValidateRejectsImpossibleConfigs) {
   EXPECT_FALSE(brokers.validate().has_value());
   EXPECT_EQ(brokers.validate().error().code, "config");
 
-  EngineConfig tick = ok;
-  tick.tick_interval = 0;
-  EXPECT_FALSE(tick.validate().has_value());
-
-  EngineConfig watermarks = ok;
-  watermarks.feedback_low_occupancy = 0.9;
-  watermarks.feedback_high_occupancy = 0.2;
-  EXPECT_FALSE(watermarks.validate().has_value());
-
   EngineConfig par = ok;
   par.processor_parallelism = 0;
   EXPECT_FALSE(par.validate().has_value());
@@ -185,7 +172,7 @@ TEST(EngineConfigTest, ValidateRejectsImpossibleConfigs) {
 TEST(EngineConfigTest, ConstructorThrowsOnInvalidConfig) {
   Emulation emu = Emulation::make_small(2);
   EngineConfig bad;
-  bad.tick_interval = 0;
+  bad.mq_brokers = 0;
   EXPECT_THROW(NetAlytics(emu, bad), std::invalid_argument);
 }
 

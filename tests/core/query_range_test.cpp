@@ -42,8 +42,6 @@ constexpr std::string_view kIdentityQuery =
 constexpr std::string_view kTopkQuery =
     "PARSE http_get FROM * TO h5:80 LIMIT 60s PROCESS (top-k: k=5, w=1s)";
 
-#ifndef NETALYTICS_NO_METRICS
-
 TEST(QueryRangeTest, WholeRangeCounterSumsMatchRegistry) {
   Emulation emu = Emulation::make_small(4);
   NetAlytics engine(emu);
@@ -213,8 +211,6 @@ TEST(QueryRangeTest, DisabledStoreStillAnswersFromLiveHead) {
   ASSERT_EQ(res.series.size(), 1u);
   EXPECT_TRUE(res.exact);
 }
-
-#endif  // NETALYTICS_NO_METRICS
 
 TEST(RenderOptionsTest, UnifiedRenderShimsAgree) {
   Emulation emu = Emulation::make_small(4);

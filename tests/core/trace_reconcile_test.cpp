@@ -39,9 +39,10 @@ void http_session(Emulation& emu, int port, common::Timestamp start,
 /// Assert the report is exact, with the full term breakdown on failure.
 void expect_exact(NetAlytics& engine, const QueryHandle& q) {
   const auto report = engine.reconcile(q);
-  EXPECT_TRUE(report.exact()) << report.render()
-                              << q.drop_ledger().render()
-                              << engine.drop_ledger().render();
+  EXPECT_TRUE(report.exact())
+      << report.render()
+      << engine.export_metrics("q" + std::to_string(q.id()) + ".drop.")
+      << engine.export_metrics("drop.");
 }
 
 TEST(TraceReconcile, CleanRunIsExactWithZeroResidualAndNoLossesInFlight) {
@@ -257,7 +258,7 @@ TEST(TraceReconcile, TimeseriesCapturesPerTickDeltas) {
   // carrying the query's counters.
   EXPECT_GE(engine.timeseries_store().stats().captures, 2u);
   const auto res = engine.query_range({.selector = "q1.mon0.rx_packets",
-                                       .step = cfg.tick_interval,
+                                       .step = core::kTickInterval,
                                        .agg = Agg::sum});
   ASSERT_EQ(res.series.size(), 1u);
   ASSERT_FALSE(res.series[0].points.empty());

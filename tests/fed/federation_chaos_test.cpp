@@ -43,8 +43,7 @@ void http_session(core::Emulation& emu, int port, common::Timestamp start,
 std::string fields_key(const nf::Record& r) {
   std::string out;
   for (const auto& f : r.fields) {
-    out += stream::format_value(
-        std::visit([](const auto& x) { return stream::Value(x); }, f));
+    out += stream::format_value(f);
     out += '|';
   }
   return out;

@@ -128,7 +128,6 @@ TEST(PacketPool, FullExhaustionCountsEveryFailureAndRecovers) {
   EXPECT_EQ(pool.allocation_failures(), 10u);  // recovery added no failures
 }
 
-#ifndef NETALYTICS_NO_METRICS
 TEST(PacketPool, BoundMetricsTrackOccupancyAndFailures) {
   common::MetricsRegistry registry;
   PacketPool pool(2);
@@ -152,7 +151,6 @@ TEST(PacketPool, BoundMetricsTrackOccupancyAndFailures) {
   snap = registry.snapshot("net.pool.");
   EXPECT_EQ(snap.gauges[1].value, 0);  // releases decrement in_use
 }
-#endif  // NETALYTICS_NO_METRICS
 
 TEST(PacketPool, ConcurrentAllocReleaseConserved) {
   // Property: after all threads finish, every buffer is back in the pool.

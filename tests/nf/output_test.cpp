@@ -67,16 +67,19 @@ TEST(OutputInterface, FlushShipsPartialBatches) {
 }
 
 TEST(OutputInterface, StatsAccumulate) {
+  common::MetricsRegistry registry;
   OutputInterface out([](std::string_view, std::vector<std::byte>, const BatchInfo&) {},
                       2);
+  out.bind_counters(&registry.counter("records"), &registry.counter("bytes"),
+                    &registry.counter("batches"));
   out.emit(make_record("a", 1));
   out.emit(make_record("a", 2));
   out.emit(make_record("a", 3));
   out.flush();
-  const auto s = out.stats();
-  EXPECT_EQ(s.records, 3u);
-  EXPECT_EQ(s.batches, 2u);
-  EXPECT_GT(s.bytes, 0u);
+  const auto s = registry.snapshot();
+  EXPECT_EQ(s.counter_value("records"), 3u);
+  EXPECT_EQ(s.counter_value("batches"), 2u);
+  EXPECT_GT(s.counter_value("bytes"), 0u);
 }
 
 TEST(OutputInterface, ZeroBatchSizeBehavesAsOne) {
