@@ -5,9 +5,14 @@
 //
 //   $ ./observability_export [output-dir]
 //
-// Files land in output-dir (default /tmp): netalytics_q1.trace.json,
-// netalytics_q1.prom, netalytics_q1.folded.
+// Files land in output-dir (default: the system temp directory):
+// netalytics_q1.trace.json, netalytics_q1.prom, netalytics_q1.folded. Each
+// is listed with its line count rather than its size: the Prometheus and
+// collapsed-stack files carry wall-clock profiler values, so their sizes
+// vary from run to run while their line counts do not.
+#include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <string>
 
 #include "core/netalytics.hpp"
@@ -18,7 +23,8 @@
 using namespace netalytics;
 
 int main(int argc, char** argv) {
-  const std::string out_dir = argc > 1 ? argv[1] : "/tmp";
+  const std::string out_dir =
+      argc > 1 ? argv[1] : std::filesystem::temp_directory_path().string();
 
   auto emu = core::Emulation::make_small(4);
 
@@ -85,8 +91,9 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "write failed: %s\n", ok.error().to_string().c_str());
       return 1;
     }
-    std::printf("%-16s %-60s %zu bytes\n", fmt->name.data(), path.c_str(),
-                job.content.size());
+    std::printf("%-16s %-60s %zu lines\n", fmt->name.data(), path.c_str(),
+                static_cast<std::size_t>(
+                    std::count(job.content.begin(), job.content.end(), '\n')));
   }
 
   // The engine-wide exposition a scraper would poll; the per-query dump

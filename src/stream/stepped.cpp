@@ -31,7 +31,7 @@ void SteppedTopology::exec_task(std::size_t t, StageKind kind,
   OutboxCollector out(slot.outbox);
   switch (kind) {
     case StageKind::execute: {
-      common::Counter* executed = graph_.component(task.component).executed;
+      const std::size_t before = slot.processed;
       while (!slot.inbox.empty()) {
         Tuple tuple = std::move(slot.inbox.front());
         slot.inbox.pop_front();
@@ -40,9 +40,13 @@ void SteppedTopology::exec_task(std::size_t t, StageKind kind,
         }
         task.bolt->execute(tuple, out);
         ++slot.processed;
-        if (executed != nullptr) executed->inc();
-        if (prof != nullptr) prof->tuples->inc();
       }
+      // One add per stage: nothing reads these counters mid-stage.
+      const std::size_t n = slot.processed - before;
+      if (common::Counter* executed = graph_.component(task.component).executed) {
+        executed->inc(n);
+      }
+      if (prof != nullptr) prof->tuples->inc(n);
       break;
     }
     case StageKind::tick:

@@ -4,9 +4,7 @@
 // (§5.3, §7.3).
 #pragma once
 
-#include <algorithm>
 #include <functional>
-#include <map>
 #include <string>
 
 #include "common/metrics.hpp"
@@ -27,32 +25,26 @@ class CountingBolt final : public Bolt {
       : key_index_(key_index), counter_(slots) {}
 
   void execute(const Tuple& input, Collector&) override {
-    const std::string key = format_value(input.at(key_index_));
-    counter_.incr(key);
-    if (input.trace != 0) {
-      // Trace continuation: a windowed emission inherits the max sampled
-      // trace id among its contributors — max is commutative, so the
-      // choice is independent of tuple arrival interleaving.
-      auto& t = trace_of_[key];
-      t = std::max(t, input.trace);
-    }
+    ValueText buf;
+    counter_.incr(format_value(input.at(key_index_), buf), 1, input.trace);
     report_window();
   }
   void tick(common::Timestamp, Collector& out) override {
-    for (const auto& [key, count] : counter_.totals()) {
-      const auto it = trace_of_.find(key);
-      out.emit(Tuple{{key, std::uint64_t{count}},
-                     it != trace_of_.end() ? it->second : 0});
-    }
+    // Trace continuation: a windowed emission carries the max sampled
+    // trace id among its contributors (RollingCounter::incr).
+    counter_.for_each_sorted([&out](const RollingCounter::Entry& e) {
+      // Built in place: a braced value list would copy the key twice.
+      Tuple t{{}, e.trace};
+      t.values.reserve(2);
+      t.values.emplace_back(std::in_place_type<std::string>, e.key);
+      t.values.emplace_back(e.total);
+      out.emit(std::move(t));
+    });
     const std::size_t before = counter_.key_count();
     counter_.advance();
     const std::size_t after = counter_.key_count();
     if (after < before && ledger_ != nullptr) {
       ledger_->add(common::DropCause::stream_window_eviction, before - after);
-    }
-    const auto live = counter_.totals();
-    for (auto it = trace_of_.begin(); it != trace_of_.end();) {
-      it = live.count(it->first) != 0 ? std::next(it) : trace_of_.erase(it);
     }
     report_window();
   }
@@ -67,13 +59,13 @@ class CountingBolt final : public Bolt {
  private:
   void report_window() {
     const auto current = static_cast<std::int64_t>(counter_.key_count());
+    if (current == last_window_) return;
     if (window_gauge_ != nullptr) window_gauge_->add(current - last_window_);
     last_window_ = current;
   }
 
   std::size_t key_index_;
   RollingCounter counter_;
-  std::map<std::string, std::uint64_t> trace_of_;  // key -> max sampled trace
   common::Gauge* window_gauge_ = nullptr;
   common::DropLedger* ledger_ = nullptr;
   std::int64_t last_window_ = 0;
@@ -93,27 +85,18 @@ class IntermediateRankingsBolt final : public Bolt {
   explicit IntermediateRankingsBolt(std::size_t k) : rankings_(k) {}
 
   void execute(const Tuple& input, Collector&) override {
-    const std::string key = as_str(input.at(0));
-    rankings_.update(key, as_u64(input.at(1)));
-    if (input.trace != 0) {
-      auto& t = trace_of_[key];
-      t = std::max(t, input.trace);
-    }
+    rankings_.update(as_str(input.at(0)), as_u64(input.at(1)), input.trace);
   }
   void tick(common::Timestamp, Collector& out) override {
     rankings_.prune_zero_counts();
     for (const auto& e : rankings_.entries()) {
-      const auto it = trace_of_.find(e.key);
-      out.emit(Tuple{{e.key, std::uint64_t{e.count}},
-                     it != trace_of_.end() ? it->second : 0});
+      out.emit(Tuple{{e.key, std::uint64_t{e.count}}, e.trace});
     }
     rankings_.zero_counts();
-    trace_of_.clear();
   }
 
  private:
   Rankings rankings_;
-  std::map<std::string, std::uint64_t> trace_of_;  // key -> max sampled trace
 };
 
 /// Global top-k (global-grouped): merges local rankings and emits the final
@@ -124,28 +107,19 @@ class TotalRankingsBolt final : public Bolt {
   explicit TotalRankingsBolt(std::size_t k) : rankings_(k) {}
 
   void execute(const Tuple& input, Collector&) override {
-    const std::string key = as_str(input.at(0));
-    rankings_.update(key, as_u64(input.at(1)));
-    if (input.trace != 0) {
-      auto& t = trace_of_[key];
-      t = std::max(t, input.trace);
-    }
+    rankings_.update(as_str(input.at(0)), as_u64(input.at(1)), input.trace);
   }
   void tick(common::Timestamp, Collector& out) override {
     rankings_.prune_zero_counts();
     std::uint64_t rank = 1;
     for (const auto& e : rankings_.entries()) {
-      const auto it = trace_of_.find(e.key);
-      out.emit(Tuple{{std::uint64_t{rank++}, e.key, std::uint64_t{e.count}},
-                     it != trace_of_.end() ? it->second : 0});
+      out.emit(Tuple{{std::uint64_t{rank++}, e.key, std::uint64_t{e.count}}, e.trace});
     }
     rankings_.zero_counts();
-    trace_of_.clear();
   }
 
  private:
   Rankings rankings_;
-  std::map<std::string, std::uint64_t> trace_of_;  // key -> max sampled trace
 };
 
 /// Stores the rolling top-k into the KV store (Redis substitute): hash

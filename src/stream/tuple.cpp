@@ -1,6 +1,8 @@
 #include "stream/tuple.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <charconv>
 #include <cstdio>
 #include <stdexcept>
 
@@ -33,21 +35,27 @@ std::uint64_t hash_fields(const Tuple& t, const std::vector<std::size_t>& indice
   return h;
 }
 
-std::string format_value(const Value& v) {
+std::string_view format_value(const Value& v, ValueText& buf) noexcept {
   return std::visit(
-      [](const auto& x) -> std::string {
+      [&buf](const auto& x) -> std::string_view {
         using T = std::decay_t<decltype(x)>;
         if constexpr (std::is_same_v<T, std::string>) {
           return x;
         } else if constexpr (std::is_same_v<T, double>) {
-          char buf[40];
-          std::snprintf(buf, sizeof(buf), "%.4f", x);
-          return buf;
+          const int n = std::snprintf(buf.data(), buf.size(), "%.4f", x);
+          return {buf.data(), std::min<std::size_t>(static_cast<std::size_t>(n),
+                                                    buf.size() - 1)};
         } else {
-          return std::to_string(x);
+          const auto res = std::to_chars(buf.data(), buf.data() + buf.size(), x);
+          return {buf.data(), static_cast<std::size_t>(res.ptr - buf.data())};
         }
       },
       v);
+}
+
+std::string format_value(const Value& v) {
+  ValueText buf;
+  return std::string(format_value(v, buf));
 }
 
 std::string format_tuple(const Tuple& t) {

@@ -4,8 +4,10 @@
 // subset of the values to pick the consumer task.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -42,6 +44,14 @@ std::string format_tuple(const Tuple& t);
 
 /// Render a single value as text (keys, table cells).
 std::string format_value(const Value& v);
+
+/// Buffer for the allocation-free format_value below; wide enough
+/// for every number it renders.
+using ValueText = std::array<char, 40>;
+
+/// format_value without the allocation: a string renders as a view of
+/// itself, a number into `buf`. Same text as format_value(v).
+std::string_view format_value(const Value& v, ValueText& buf) noexcept;
 
 // Typed accessors; throw std::bad_variant_access on type mismatch.
 inline std::int64_t as_i64(const Value& v) { return std::get<std::int64_t>(v); }

@@ -8,8 +8,8 @@
 # they share, the fetch path (mq cluster/consumer/group and the Kafka
 # spout), the metrics registry and trace recorder the exporters read,
 # every export-layer source, every federation source
-# (docs/FEDERATION.md), and the per-packet fabric path (switch, emulation,
-# monitor). The lane
+# (docs/FEDERATION.md), the per-packet fabric path (switch, emulation,
+# monitor), and the top-k slot table (stream/window.cpp). The lane
 # FAILS if any module drops below its recorded baseline, so coverage can
 # only ratchet up.
 #
@@ -61,6 +61,9 @@ trace_file_baseline=92
 switch_file_baseline=93
 emulation_file_baseline=90
 monitor_file_baseline=87
+# Per-file floor for the top-k slot table (RollingCounter, Rankings),
+# measured at 98% with its differential test, minus a margin.
+window_file_baseline=95
 
 cmake -B "$build_dir" -S "$repo_root" \
   -DCMAKE_BUILD_TYPE=Debug \
@@ -175,6 +178,7 @@ gate_file src/common/trace.cpp "$trace_file_baseline" || status=1
 gate_file src/sdn/switch.cpp "$switch_file_baseline" || status=1
 gate_file src/core/emulation.cpp "$emulation_file_baseline" || status=1
 gate_file src/nf/monitor.cpp "$monitor_file_baseline" || status=1
+gate_file src/stream/window.cpp "$window_file_baseline" || status=1
 for obs_src in src/obs/*.cpp; do
   gate_file "$obs_src" "$obs_file_baseline" || status=1
 done

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <deque>
 #include <map>
+#include <ostream>
 
 #include "common/rng.hpp"
 #include "stream/bolts.hpp"
@@ -24,6 +25,14 @@ struct Params {
   std::size_t parallelism;
   std::size_t k;
 };
+
+// gtest prints a case's parameter with this, and gtest_discover_tests
+// names the ctest case by it: Sweeps/TopKPipelineTest.MatchesNaiveCount/
+// seed3_par4_k5 rather than the parameter's raw bytes. (A name generator
+// would leave the raw bytes in the ctest name as a "# GetParam()" suffix.)
+void PrintTo(const Params& p, std::ostream* os) {
+  *os << "seed" << p.seed << "_par" << p.parallelism << "_k" << p.k;
+}
 
 class TopKPipelineTest : public ::testing::TestWithParam<Params> {};
 
