@@ -115,7 +115,7 @@ double measure_storm_rate() {
       struct Null final : stream::Collector {
         void emit(stream::Tuple) override {}
       } null;
-      counter.execute(t, null);
+      counter.execute(std::move(t), null);
     }
     stream::CountingBolt& counter;
   } chain(count);

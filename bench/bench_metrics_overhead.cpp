@@ -7,15 +7,16 @@
 //   1. raw metric-op cost (inc / gauge set / observe), ns per op;
 //   2. monitor inline-path throughput (same cell as Figure 5, 256 B HTTP),
 //      which crosses every instrumented layer of the monitor. The registry
-//      counters are always on; the instrumented windows also bind what an
-//      engine query adds (a StageTracer, a DropLedger and a 1-in-64 trace
-//      recorder), the baseline windows bind none of it. Windows alternate
-//      between the two in pairs, the order flipping every pair, and the
-//      median with its q1-q3 band is printed for each side and for the
-//      per-pair cost.
+//      counters are always on. Five arms differ in what else is bound of
+//      what an engine query adds: nothing (baseline), all three (a
+//      StageTracer, a DropLedger and a 1-in-64 trace recorder), or one of
+//      them alone. Each round runs one window of every arm, the arm order
+//      rotating every round, and the median with its q1-q3 band is printed
+//      for each arm and for its cost against the same round's baseline.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <iterator>
 #include <vector>
 
 #include "common/metrics.hpp"
@@ -41,9 +42,25 @@ double ns_per_op(std::uint64_t iters, Op&& op) {
   return secs_since(start) * 1e9 / static_cast<double>(iters);
 }
 
-/// Monitor inline-path Mpps over one window, with or without the optional
-/// per-query instrumentation bound.
-double monitor_mpps(bool instrumented) {
+/// Which of the optional per-query instruments a window binds.
+struct Arm {
+  const char* label;
+  bool tracer;
+  bool ledger;
+  bool recorder;
+};
+
+constexpr Arm kArms[] = {
+    {"baseline", false, false, false},
+    {"instrumented", true, true, true},
+    {"tracer only", true, false, false},
+    {"ledger only", false, true, false},
+    {"recorder only", false, false, true},
+};
+constexpr std::size_t kArmCount = std::size(kArms);
+
+/// Monitor inline-path Mpps over one window, with `arm`'s instruments bound.
+double monitor_mpps(const Arm& arm) {
   pktgen::GeneratorConfig gcfg;
   gcfg.kind = pktgen::TrafficKind::http_get;
   gcfg.frame_size = 256;
@@ -59,11 +76,9 @@ double monitor_mpps(bool instrumented) {
   mcfg.parsers = {{"http_get", 1}};
   mcfg.output_batch_records = 64;
   mcfg.metrics = &registry;
-  if (instrumented) {
-    mcfg.tracer = &tracer;
-    mcfg.drop_ledger = &ledger;
-    mcfg.trace_recorder = &recorder;
-  }
+  if (arm.tracer) mcfg.tracer = &tracer;
+  if (arm.ledger) mcfg.drop_ledger = &ledger;
+  if (arm.recorder) mcfg.trace_recorder = &recorder;
   nf::Monitor monitor(mcfg, [](std::string_view, std::vector<std::byte>,
                                const nf::BatchInfo&) {});
 
@@ -121,25 +136,31 @@ int main() {
                 hist.observe(i % (10 * common::kSecond));
               }));
 
-  constexpr int kPairs = 12;
-  std::vector<double> baseline, instrumented, cost_pct;
-  for (int i = 0; i < kPairs; ++i) {
-    const bool instrumented_first = i % 2 == 0;
-    const double first = monitor_mpps(instrumented_first);
-    const double second = monitor_mpps(!instrumented_first);
-    const double on = instrumented_first ? first : second;
-    const double off = instrumented_first ? second : first;
-    instrumented.push_back(on);
-    baseline.push_back(off);
-    cost_pct.push_back((off - on) / off * 100.0);
+  constexpr std::size_t kRounds = 12;
+  std::vector<double> mpps[kArmCount];
+  std::vector<double> cost_pct[kArmCount];
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    double got[kArmCount];
+    for (std::size_t k = 0; k < kArmCount; ++k) {
+      const std::size_t a = (round + k) % kArmCount;
+      got[a] = monitor_mpps(kArms[a]);
+    }
+    for (std::size_t a = 0; a < kArmCount; ++a) {
+      mpps[a].push_back(got[a]);
+      cost_pct[a].push_back((got[0] - got[a]) / got[0] * 100.0);
+    }
   }
-  const auto print = [](const char* label, const char* unit, const Quartiles& q) {
-    std::printf("%-28s %8.2f %-4s (q1-q3 %.2f-%.2f)\n", label, q.median, unit, q.q1,
-                q.q3);
-  };
-  std::printf("monitor inline path (256B), median of %d interleaved pairs:\n", kPairs);
-  print("  baseline", "Mpps", quartiles(baseline));
-  print("  instrumented", "Mpps", quartiles(instrumented));
-  print("  instrumentation cost", "%", quartiles(cost_pct));
+  std::printf("monitor inline path (256B), median of %zu rounds, arm order rotating:\n",
+              kRounds);
+  for (std::size_t a = 0; a < kArmCount; ++a) {
+    const Quartiles q = quartiles(mpps[a]);
+    std::printf("  %-26s %8.2f Mpps (q1-q3 %.2f-%.2f)", kArms[a].label, q.median,
+                q.q1, q.q3);
+    if (a != 0) {
+      const Quartiles c = quartiles(cost_pct[a]);
+      std::printf("  cost %5.1f%% (q1-q3 %.1f-%.1f)", c.median, c.q1, c.q3);
+    }
+    std::printf("\n");
+  }
   return 0;
 }

@@ -114,17 +114,16 @@ class ByteReader {
   std::uint32_t u32() { std::uint32_t v; copy(&v, 4); return v; }
   std::uint64_t u64() { std::uint64_t v; copy(&v, 8); return v; }
   double f64() { double v; copy(&v, 8); return v; }
-  std::string str() {
-    const auto n = u32();
-    const auto s = take(n);
-    return std::string(reinterpret_cast<const char*>(s.data()), s.size());
+  std::string str() { return std::string(str_view()); }
+  /// str() without the copy: a view into the borrowed buffer.
+  std::string_view str_view() {
+    const auto s = bytes();
+    return {reinterpret_cast<const char*>(s.data()), s.size()};
   }
-  std::vector<std::byte> bytes() {
-    const auto n = u32();
-    const auto s = take(n);
-    return {s.begin(), s.end()};
-  }
+  /// A length-prefixed byte run, borrowed from the buffer.
+  std::span<const std::byte> bytes() { return take(u32()); }
 
+  std::size_t position() const noexcept { return pos_; }
   std::size_t remaining() const noexcept { return buf_.size() - pos_; }
   bool done() const noexcept { return remaining() == 0; }
 

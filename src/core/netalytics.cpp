@@ -387,8 +387,7 @@ void NetAlytics::build_processors(QueryHandle& q) {
     common::StageTracer* tracer = q.tracer_.get();
     common::TraceRecorder* recorder = q.recorder_.get();
     ctx.result_sink = [this, qp, tracer, recorder, stamp_e2e, capture_results,
-                       result_prefix](const stream::Tuple& t) {
-      qp->results_.push_back(t);
+                       result_prefix](stream::Tuple&& t) {
       const bool has_ts =
           t.size() > 1 && std::holds_alternative<std::uint64_t>(t.at(1));
       if (t.trace != 0) {
@@ -410,6 +409,8 @@ void NetAlytics::build_processors(QueryHandle& q) {
                         now_, kv->second);
         }
       }
+      // Last: the stamps and the capture above read the tuple it owns.
+      qp->results_.push_back(std::move(t));
     };
     if (automation_store_ != nullptr && call.name == "top-k") {
       ctx.kvstore = automation_store_;

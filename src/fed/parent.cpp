@@ -99,7 +99,7 @@ void ParentNode::apply_frame(std::size_t child, const Frame& frame,
       return;
     }
     case MsgType::records: {
-      const RecordsFrame rf = decode_records(frame.payload);
+      const RecordsFrameView rf = view_records(frame.payload);
       slot.stats.record_frames += 1;
       apply_records(child, rf);
       return;
@@ -121,12 +121,12 @@ void ParentNode::apply_frame(std::size_t child, const Frame& frame,
   }
 }
 
-void ParentNode::apply_records(std::size_t child, const RecordsFrame& rf) {
+void ParentNode::apply_records(std::size_t child, const RecordsFrameView& rf) {
   Slot& slot = slots_[child];
-  const std::uint64_t end = rf.offset + rf.records.size();
+  const std::uint64_t end = rf.offset + rf.batch.size();
   if (end <= slot.stats.applied) {
     // Whole frame below the watermark: a replay or duplicated frame.
-    slot.stats.duplicate_records += rf.records.size();
+    slot.stats.duplicate_records += rf.batch.size();
     return;
   }
   if (rf.offset > slot.stats.applied) {
@@ -137,11 +137,13 @@ void ParentNode::apply_records(std::size_t child, const RecordsFrame& rf) {
   } else {
     slot.stats.duplicate_records += slot.stats.applied - rf.offset;
   }
-  const std::uint64_t start = std::max(rf.offset, slot.stats.applied);
-  for (std::size_t i = start - rf.offset; i < rf.records.size(); ++i) {
-    const nf::Record& r = rf.records[i];
+  // Only the records past the watermark are built.
+  std::uint64_t offset = rf.offset;
+  for (const nf::RecordRef& ref : rf.batch) {
+    if (offset++ < slot.stats.applied) continue;
+    nf::Record r = nf::to_record(rf.batch.topic(), ref);
     fanin_.add(child, key_of(r, cfg_.key_field), 1);
-    slot.records.push_back(r);
+    slot.records.push_back(std::move(r));
   }
   slot.stats.applied = end;
 }

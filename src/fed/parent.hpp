@@ -109,7 +109,7 @@ class ParentNode {
   /// fleet series "fleet.child<i>.parent.malformed_frames") and drop the
   /// link under the RST rules, discarding any bytes buffered behind it.
   void reject_malformed(std::size_t child);
-  void apply_records(std::size_t child, const RecordsFrame& rf);
+  void apply_records(std::size_t child, const RecordsFrameView& rf);
   void apply_metrics(std::size_t child, const MetricsFrame& mf);
 
   ParentConfig cfg_;

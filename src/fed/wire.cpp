@@ -121,13 +121,22 @@ std::vector<std::byte> encode(const RecordsFrame& m) {
   return frame(MsgType::records, w);
 }
 
-RecordsFrame decode_records(std::span<const std::byte> payload) {
+RecordsFrameView view_records(std::span<const std::byte> payload) {
   common::ByteReader r(payload);
+  const std::uint64_t offset = r.u64();
+  const common::Timestamp tick = r.u64();
+  return {offset, tick, nf::RecordBatchView(r.bytes())};
+}
+
+RecordsFrame decode_records(std::span<const std::byte> payload) {
+  const RecordsFrameView v = view_records(payload);
   RecordsFrame m;
-  m.offset = r.u64();
-  m.tick = r.u64();
-  const auto batch = r.bytes();
-  m.records = nf::deserialize_batch(batch);
+  m.offset = v.offset;
+  m.tick = v.tick;
+  m.records.reserve(v.batch.size());
+  for (const nf::RecordRef& r : v.batch) {
+    m.records.push_back(nf::to_record(v.batch.topic(), r));
+  }
   return m;
 }
 

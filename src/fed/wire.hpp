@@ -123,6 +123,15 @@ struct RecordsFrame {
   bool operator==(const RecordsFrame&) const = default;
 };
 
+/// A RECORDS payload read in place: the batch is validated but no record
+/// is built, so a reader can skip the duplicate prefix without paying for
+/// it. `batch` borrows the payload it was decoded from.
+struct RecordsFrameView {
+  std::uint64_t offset = 0;
+  common::Timestamp tick = 0;
+  nf::RecordBatchView batch;
+};
+
 /// Parent -> child: cumulative record high watermark. The child drops
 /// replay-buffer entries wholly at or below the watermark.
 struct Ack {
@@ -158,6 +167,7 @@ std::vector<std::byte> encode(const Bye& m);
 Hello decode_hello(std::span<const std::byte> payload);
 Welcome decode_welcome(std::span<const std::byte> payload);
 MetricsFrame decode_metrics(std::span<const std::byte> payload);
+RecordsFrameView view_records(std::span<const std::byte> payload);
 RecordsFrame decode_records(std::span<const std::byte> payload);
 Ack decode_ack(std::span<const std::byte> payload);
 Bye decode_bye(std::span<const std::byte> payload);

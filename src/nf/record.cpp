@@ -1,7 +1,9 @@
 #include "nf/record.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <stdexcept>
+#include <type_traits>
 
 #include "common/byte_io.hpp"
 
@@ -54,32 +56,19 @@ void write_record(common::ByteWriter& w, const Record& r) {
   }
 }
 
-Record read_record(common::ByteReader& r, const std::string& topic) {
-  Record rec;
-  rec.topic = topic;
-  rec.id = r.u64();
-  rec.timestamp = r.u64();
-  const std::size_t n = r.bounded_count(r.u16(), kMinFieldBytes);
-  rec.fields.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    switch (static_cast<FieldTag>(r.u8())) {
-      case FieldTag::i64:
-        rec.fields.emplace_back(static_cast<std::int64_t>(r.u64()));
-        break;
-      case FieldTag::u64:
-        rec.fields.emplace_back(r.u64());
-        break;
-      case FieldTag::f64:
-        rec.fields.emplace_back(r.f64());
-        break;
-      case FieldTag::str:
-        rec.fields.emplace_back(r.str());
-        break;
-      default:
-        throw std::out_of_range("Record: unknown field tag");
-    }
-  }
-  return rec;
+// Unchecked little-endian loads for RecordBatchView's iteration, which
+// only reads bytes its constructor already bounds-checked.
+template <class T>
+T load(const std::byte* at) noexcept {
+  T v;
+  std::memcpy(&v, at, sizeof v);
+  return v;
+}
+
+// The encoded size of the field starting at `at` (its tag included).
+std::size_t field_bytes(const std::byte* at) noexcept {
+  if (static_cast<FieldTag>(*at) != FieldTag::str) return 1 + 8;
+  return 1 + 4 + load<std::uint32_t>(at + 1);
 }
 
 }  // namespace
@@ -111,29 +100,142 @@ std::vector<std::byte> serialize_batch(std::span<const Record> records) {
   return w.take();
 }
 
-std::vector<Record> deserialize_batch(std::span<const std::byte> payload) {
+RecordBatchView::RecordBatchView(std::span<const std::byte> payload) {
   common::ByteReader r(payload);
   const std::uint8_t raw_layout = r.u8();
   const bool has_traces = (raw_layout & kTraceTrailerFlag) != 0;
   if ((raw_layout & ~kTraceTrailerFlag) != kUniformTopicLayout) {
     throw std::out_of_range("Record batch: unknown layout");
   }
-  const std::string topic = r.str();
-  const std::size_t n = r.bounded_count(r.u32(), kMinRecordBytes);
-  std::vector<Record> out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) out.push_back(read_record(r, topic));
-  if (has_traces) {
-    const std::size_t traced = r.bounded_count(r.u32(), kTraceEntryBytes);
-    for (std::size_t i = 0; i < traced; ++i) {
-      const std::uint32_t index = r.u32();
-      const std::uint64_t trace = r.u64();
-      if (index >= out.size()) {
-        throw std::out_of_range("Record batch: trace index out of range");
+  topic_ = r.str_view();
+  count_ = r.bounded_count(r.u32(), kMinRecordBytes);
+  records_ = payload.data() + r.position();
+  for (std::size_t i = 0; i < count_; ++i) {
+    (void)r.u64();  // id
+    (void)r.u64();  // timestamp
+    const std::size_t fields = r.bounded_count(r.u16(), kMinFieldBytes);
+    for (std::size_t f = 0; f < fields; ++f) {
+      switch (static_cast<FieldTag>(r.u8())) {
+        case FieldTag::i64:
+        case FieldTag::u64:
+        case FieldTag::f64:
+          (void)r.u64();
+          break;
+        case FieldTag::str:
+          (void)r.str_view();
+          break;
+        default:
+          throw std::out_of_range("Record: unknown field tag");
       }
-      out[index].trace = trace;
     }
   }
+  trailer_ = payload.data() + r.position();
+  trailer_end_ = trailer_;
+  if (!has_traces) return;
+  const std::size_t traced = r.bounded_count(r.u32(), kTraceEntryBytes);
+  trailer_ = payload.data() + r.position();
+  std::size_t next_index = 0;  // indices must rise strictly
+  for (std::size_t i = 0; i < traced; ++i) {
+    const std::uint32_t index = r.u32();
+    (void)r.u64();  // trace id
+    if (index < next_index || index >= count_) {
+      throw std::out_of_range("Record batch: trace index out of range");
+    }
+    next_index = std::size_t{index} + 1;
+  }
+  trailer_end_ = payload.data() + r.position();
+}
+
+RecordBatchView::iterator RecordBatchView::begin() const noexcept {
+  return iterator(this, 0, records_);
+}
+
+RecordBatchView::iterator RecordBatchView::end() const noexcept {
+  return iterator(this, count_, nullptr);
+}
+
+RecordBatchView::iterator::iterator(const RecordBatchView* view,
+                                    std::size_t index,
+                                    const std::byte* at) noexcept
+    : view_(view), index_(index), at_(at), trace_(view->trailer_) {
+  if (index_ < view_->count_) decode();
+}
+
+void RecordBatchView::iterator::decode() noexcept {
+  current_.id = load<std::uint64_t>(at_);
+  current_.timestamp = load<std::uint64_t>(at_ + 8);
+  const std::size_t fields = load<std::uint16_t>(at_ + 16);
+  const std::byte* const first = at_ + kMinRecordBytes;  // past the header
+  const std::byte* p = first;
+  for (std::size_t f = 0; f < fields; ++f) p += field_bytes(p);
+  current_.fields.begin_ = first;
+  current_.fields.end_ = p;
+  current_.fields.count_ = fields;
+  next_ = p;
+  current_.trace = 0;
+  if (trace_ != view_->trailer_end_ &&
+      load<std::uint32_t>(trace_) == index_) {
+    current_.trace = load<std::uint64_t>(trace_ + 4);
+    trace_ += kTraceEntryBytes;
+  }
+}
+
+RecordBatchView::iterator& RecordBatchView::iterator::operator++() noexcept {
+  at_ = next_;
+  if (++index_ < view_->count_) decode();
+  return *this;
+}
+
+FieldRef RecordBatchView::Fields::iterator::operator*() const noexcept {
+  switch (static_cast<FieldTag>(*at_)) {
+    case FieldTag::i64:
+      return static_cast<std::int64_t>(load<std::uint64_t>(at_ + 1));
+    case FieldTag::u64:
+      return load<std::uint64_t>(at_ + 1);
+    case FieldTag::f64:
+      return load<double>(at_ + 1);
+    default:  // FieldTag::str: the constructor rejected every other tag
+      return std::string_view(reinterpret_cast<const char*>(at_ + 5),
+                              load<std::uint32_t>(at_ + 1));
+  }
+}
+
+RecordBatchView::Fields::iterator&
+RecordBatchView::Fields::iterator::operator++() noexcept {
+  at_ += field_bytes(at_);
+  return *this;
+}
+
+void RecordBatchView::Fields::append_to(std::vector<FieldValue>& out) const {
+  for (const FieldRef f : *this) {
+    std::visit(
+        [&out](auto v) {
+          if constexpr (std::is_same_v<decltype(v), std::string_view>) {
+            out.emplace_back(std::in_place_type<std::string>, v);
+          } else {
+            out.emplace_back(v);
+          }
+        },
+        f);
+  }
+}
+
+Record to_record(std::string_view topic, const RecordRef& r) {
+  Record rec;
+  rec.topic = topic;
+  rec.id = r.id;
+  rec.timestamp = r.timestamp;
+  rec.fields.reserve(r.fields.size());
+  r.fields.append_to(rec.fields);
+  rec.trace = r.trace;
+  return rec;
+}
+
+std::vector<Record> deserialize_batch(std::span<const std::byte> payload) {
+  const RecordBatchView batch(payload);
+  std::vector<Record> out;
+  out.reserve(batch.size());
+  for (const RecordRef& r : batch) out.push_back(to_record(batch.topic(), r));
   return out;
 }
 

@@ -1,7 +1,6 @@
 #include "stream/bolts.hpp"
 
 #include <algorithm>
-#include <iterator>
 #include <type_traits>
 
 #include "common/byte_io.hpp"
@@ -13,23 +12,22 @@ namespace netalytics::stream {
 // and leave it for the federation wire (fed::ChildNode) without conversion.
 static_assert(std::is_same_v<nf::FieldValue, Value>);
 
-void ParsingBolt::execute(const Tuple& input, Collector& out) {
-  // Input: [payload:string] — the serialized batch from an mq message.
-  const auto& payload = as_str(input.at(0));
-  auto records = nf::deserialize_batch(common::as_bytes(payload));
-  for (auto& rec : records) {
+void ParsingBolt::execute(Tuple&& input, Collector& out) {
+  // Input: [payload:string] — the serialized batch from an mq message. The
+  // view validates the whole batch first, so a corrupt one emits nothing.
+  const nf::RecordBatchView batch(common::as_bytes(as_str(input.at(0))));
+  for (const nf::RecordRef& rec : batch) {
     Tuple t;
     t.trace = rec.trace;
     t.values.reserve(2 + rec.fields.size());
     t.values.emplace_back(std::uint64_t{rec.id});
     t.values.emplace_back(std::uint64_t{rec.timestamp});
-    t.values.insert(t.values.end(), std::make_move_iterator(rec.fields.begin()),
-                    std::make_move_iterator(rec.fields.end()));
+    rec.fields.append_to(t.values);
     out.emit(std::move(t));
   }
 }
 
-void DiffBolt::execute(const Tuple& input, Collector& out) {
+void DiffBolt::execute(Tuple&& input, Collector& out) {
   const auto id = as_u64(input.at(config_.id_index));
   const auto& event = as_str(input.at(config_.event_index));
 
@@ -40,7 +38,7 @@ void DiffBolt::execute(const Tuple& input, Collector& out) {
       }
       pending_.clear();
     }
-    pending_.insert_or_assign(id, input);
+    pending_.insert_or_assign(id, std::move(input));
     return;
   }
   if (event != config_.end_token) return;
@@ -65,14 +63,14 @@ void DiffBolt::execute(const Tuple& input, Collector& out) {
   out.emit(std::move(result));
 }
 
-void JoinByIdBolt::execute(const Tuple& input, Collector& out) {
+void JoinByIdBolt::execute(Tuple&& input, Collector& out) {
   bool is_left;
-  Tuple stored = input;
+  Tuple stored = std::move(input);
   if (config_.by_tag) {
-    is_left = as_str(input.values.back()) == config_.left_tag;
+    is_left = as_str(stored.values.back()) == config_.left_tag;
     stored.values.pop_back();  // strip the marker
   } else {
-    is_left = input.size() == config_.left_arity;
+    is_left = stored.size() == config_.left_arity;
   }
   auto& mine = is_left ? pending_left_ : pending_right_;
   const std::size_t id_index =
@@ -111,7 +109,7 @@ void JoinByIdBolt::try_join(std::uint64_t id, Collector& out) {
   out.emit(std::move(result));
 }
 
-void GroupAggBolt::execute(const Tuple& input, Collector&) {
+void GroupAggBolt::execute(Tuple&& input, Collector&) {
   std::string key;
   std::vector<Value> group_values;
   group_values.reserve(config_.group_indices.size());

@@ -21,9 +21,11 @@ namespace netalytics::stream {
 /// result interface).
 class SinkBolt final : public Bolt {
  public:
-  using Callback = std::function<void(const Tuple&)>;
+  using Callback = std::function<void(Tuple&&)>;
   explicit SinkBolt(Callback callback) : callback_(std::move(callback)) {}
-  void execute(const Tuple& input, Collector&) override { callback_(input); }
+  void execute(Tuple&& input, Collector&) override {
+    callback_(std::move(input));
+  }
 
  private:
   Callback callback_;
@@ -34,7 +36,7 @@ class SinkBolt final : public Bolt {
 /// [id:u64, ts:u64, <record fields...>].
 class ParsingBolt final : public Bolt {
  public:
-  void execute(const Tuple& input, Collector& out) override;
+  void execute(Tuple&& input, Collector& out) override;
 };
 
 /// Drops tuples failing a predicate.
@@ -42,8 +44,8 @@ class FilterBolt final : public Bolt {
  public:
   using Predicate = std::function<bool(const Tuple&)>;
   explicit FilterBolt(Predicate pred) : pred_(std::move(pred)) {}
-  void execute(const Tuple& input, Collector& out) override {
-    if (pred_(input)) out.emit(input);
+  void execute(Tuple&& input, Collector& out) override {
+    if (pred_(input)) out.emit(std::move(input));
   }
 
  private:
@@ -68,7 +70,7 @@ class DiffBolt final : public Bolt {
  public:
   explicit DiffBolt(DiffConfig config) : config_(std::move(config)) {}
   /// Output: [id:u64, diff_ns:u64, passthrough... (from the start tuple)].
-  void execute(const Tuple& input, Collector& out) override;
+  void execute(Tuple&& input, Collector& out) override;
 
   std::size_t pending() const noexcept { return pending_.size(); }
 
@@ -88,10 +90,9 @@ class DiffBolt final : public Bolt {
 class TagBolt final : public Bolt {
  public:
   explicit TagBolt(std::string tag) : tag_(std::move(tag)) {}
-  void execute(const Tuple& input, Collector& out) override {
-    Tuple tagged = input;
-    tagged.values.emplace_back(tag_);
-    out.emit(std::move(tagged));
+  void execute(Tuple&& input, Collector& out) override {
+    input.values.emplace_back(tag_);
+    out.emit(std::move(input));
   }
 
  private:
@@ -120,7 +121,7 @@ struct JoinConfig {
 class JoinByIdBolt final : public Bolt {
  public:
   explicit JoinByIdBolt(JoinConfig config) : config_(std::move(config)) {}
-  void execute(const Tuple& input, Collector& out) override;
+  void execute(Tuple&& input, Collector& out) override;
 
   std::size_t pending() const noexcept {
     return pending_left_.size() + pending_right_.size();
@@ -155,7 +156,7 @@ class GroupAggBolt final : public Bolt {
  public:
   explicit GroupAggBolt(GroupAggConfig config) : config_(std::move(config)) {}
 
-  void execute(const Tuple& input, Collector& out) override;
+  void execute(Tuple&& input, Collector& out) override;
   void tick(common::Timestamp now, Collector& out) override;
   void cleanup(common::Timestamp now, Collector& out) override;
 

@@ -109,7 +109,7 @@ std::size_t FreeRunningTopology::execute_chunk(std::size_t t, std::size_t limit)
       const common::Timestamp now = now_.load(std::memory_order_relaxed);
       recorder_->stamp(tuple->trace, common::TraceStage::execute, now, now);
     }
-    task.bolt->execute(*tuple, out);
+    task.bolt->execute(std::move(*tuple), out);
     if (executed != nullptr) executed->inc();
     executed_total_.fetch_add(1, std::memory_order_relaxed);
     // Decrement only after execute() returned: the children this tuple

@@ -38,7 +38,7 @@ void SteppedTopology::exec_task(std::size_t t, StageKind kind,
         if (recorder_ != nullptr && tuple.trace != 0) {
           recorder_->stamp(tuple.trace, common::TraceStage::execute, now, now);
         }
-        task.bolt->execute(tuple, out);
+        task.bolt->execute(std::move(tuple), out);
         ++slot.processed;
       }
       // One add per stage: nothing reads these counters mid-stage.

@@ -2,17 +2,17 @@
 
 namespace netalytics::stream {
 
-void DatabaseBolt::execute(const Tuple& input, Collector& out) {
+void DatabaseBolt::execute(Tuple&& input, Collector& out) {
   // Input: [rank, key, count] from the total ranker.
   const auto rank = as_u64(input.at(0));
   const auto& key = as_str(input.at(1));
   const auto count = as_u64(input.at(2));
   store_.hset("topk", key, std::to_string(count));
   store_.set("topk:rank:" + std::to_string(rank), key);
-  out.emit(input);
+  out.emit(std::move(input));
 }
 
-void UpdaterBolt::execute(const Tuple& input, Collector&) {
+void UpdaterBolt::execute(Tuple&& input, Collector&) {
   const auto& key = as_str(input.at(1));
   const auto count = as_u64(input.at(2));
   if (count > window_peak_) {

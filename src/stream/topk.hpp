@@ -24,7 +24,7 @@ class CountingBolt final : public Bolt {
   CountingBolt(std::size_t key_index, std::size_t slots)
       : key_index_(key_index), counter_(slots) {}
 
-  void execute(const Tuple& input, Collector&) override {
+  void execute(Tuple&& input, Collector&) override {
     ValueText buf;
     counter_.incr(format_value(input.at(key_index_), buf), 1, input.trace);
     report_window();
@@ -84,7 +84,7 @@ class IntermediateRankingsBolt final : public Bolt {
  public:
   explicit IntermediateRankingsBolt(std::size_t k) : rankings_(k) {}
 
-  void execute(const Tuple& input, Collector&) override {
+  void execute(Tuple&& input, Collector&) override {
     rankings_.update(as_str(input.at(0)), as_u64(input.at(1)), input.trace);
   }
   void tick(common::Timestamp, Collector& out) override {
@@ -106,7 +106,7 @@ class TotalRankingsBolt final : public Bolt {
  public:
   explicit TotalRankingsBolt(std::size_t k) : rankings_(k) {}
 
-  void execute(const Tuple& input, Collector&) override {
+  void execute(Tuple&& input, Collector&) override {
     rankings_.update(as_str(input.at(0)), as_u64(input.at(1)), input.trace);
   }
   void tick(common::Timestamp, Collector& out) override {
@@ -129,7 +129,7 @@ class TotalRankingsBolt final : public Bolt {
 class DatabaseBolt final : public Bolt {
  public:
   explicit DatabaseBolt(KvStore& store) : store_(store) {}
-  void execute(const Tuple& input, Collector& out) override;
+  void execute(Tuple&& input, Collector& out) override;
 
  private:
   KvStore& store_;
@@ -154,7 +154,7 @@ class UpdaterBolt final : public Bolt {
         on_scale_up_(std::move(on_scale_up)),
         on_scale_down_(std::move(on_scale_down)) {}
 
-  void execute(const Tuple& input, Collector&) override;
+  void execute(Tuple&& input, Collector&) override;
   void tick(common::Timestamp now, Collector&) override;
 
  private:

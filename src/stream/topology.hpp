@@ -36,11 +36,16 @@ class Spout {
 };
 
 /// A processing node.
+///
+/// Ownership: `execute` owns its input. The executors hand over the tuple
+/// they popped from the task's inbox, so a bolt that forwards or keeps its
+/// input (filter, tag, sink, the join and diff state) moves it rather than
+/// copying; a bolt that only reads it lets it drop.
 class Bolt {
  public:
   virtual ~Bolt() = default;
   virtual void prepare() {}
-  virtual void execute(const Tuple& input, Collector& out) = 0;
+  virtual void execute(Tuple&& input, Collector& out) = 0;
   /// Periodic tick (rolling windows, ranking emission). Storm models this
   /// with tick tuples; here it is an explicit callback.
   virtual void tick(common::Timestamp /*now*/, Collector& /*out*/) {}

@@ -39,7 +39,8 @@ TEST(ByteIo, WriterReaderRoundTrip) {
   EXPECT_EQ(r.u64(), 0x1122334455667788ULL);
   EXPECT_DOUBLE_EQ(r.f64(), 3.25);
   EXPECT_EQ(r.str(), "hello world");
-  EXPECT_EQ(r.bytes(), raw);
+  const auto got = r.bytes();
+  EXPECT_EQ(std::vector<std::byte>(got.begin(), got.end()), raw);
   EXPECT_TRUE(r.done());
 }
 

@@ -9,7 +9,8 @@
 # spout), the metrics registry and trace recorder the exporters read,
 # every export-layer source, every federation source
 # (docs/FEDERATION.md), the per-packet fabric path (switch, emulation,
-# monitor), and the top-k slot table (stream/window.cpp). The lane
+# monitor), the top-k slot table (stream/window.cpp), and the record
+# batch codec (nf/record.cpp). The lane
 # FAILS if any module drops below its recorded baseline, so coverage can
 # only ratchet up.
 #
@@ -64,6 +65,10 @@ monitor_file_baseline=87
 # Per-file floor for the top-k slot table (RollingCounter, Rankings),
 # measured at 98% with its differential test, minus a margin.
 window_file_baseline=95
+# Per-file floor for the one record-batch codec (RecordBatchView and the
+# serialize_batch encoder), measured at 98% with its differential and
+# mutation test, minus a margin.
+record_file_baseline=94
 
 cmake -B "$build_dir" -S "$repo_root" \
   -DCMAKE_BUILD_TYPE=Debug \
@@ -179,6 +184,7 @@ gate_file src/sdn/switch.cpp "$switch_file_baseline" || status=1
 gate_file src/core/emulation.cpp "$emulation_file_baseline" || status=1
 gate_file src/nf/monitor.cpp "$monitor_file_baseline" || status=1
 gate_file src/stream/window.cpp "$window_file_baseline" || status=1
+gate_file src/nf/record.cpp "$record_file_baseline" || status=1
 for obs_src in src/obs/*.cpp; do
   gate_file "$obs_src" "$obs_file_baseline" || status=1
 done

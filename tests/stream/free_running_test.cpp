@@ -158,7 +158,7 @@ class KeyOrderProbeBolt final : public Bolt {
   explicit KeyOrderProbeBolt(std::shared_ptr<std::atomic<std::uint64_t>> v)
       : violations_(std::move(v)) {}
 
-  void execute(const Tuple& input, Collector& out) override {
+  void execute(Tuple&& input, Collector& out) override {
     const std::uint64_t seq = as_u64(input.at(0));
     const std::string& key = as_str(input.at(1));
     auto [it, inserted] = last_seq_.try_emplace(key, seq);
@@ -166,7 +166,7 @@ class KeyOrderProbeBolt final : public Bolt {
       if (seq <= it->second) violations_->fetch_add(1);
       it->second = seq;
     }
-    out.emit(input);
+    out.emit(std::move(input));
   }
 
  private:
@@ -229,13 +229,13 @@ class WindowProbeBolt final : public Bolt {
  public:
   explicit WindowProbeBolt(std::string tag) : tag_(std::move(tag)) {}
 
-  void execute(const Tuple& input, Collector& out) override {
+  void execute(Tuple&& input, Collector& out) override {
     if (std::holds_alternative<std::string>(input.at(0))) {
       ++markers_;
     } else {
       ++regular_;
     }
-    out.emit(input);
+    out.emit(std::move(input));
   }
   void tick(common::Timestamp /*now*/, Collector& out) override {
     out.emit(Tuple{{tag_, regular_, markers_}});

@@ -40,13 +40,13 @@ class WindowProbeBolt final : public Bolt {
  public:
   explicit WindowProbeBolt(std::string tag) : tag_(std::move(tag)) {}
 
-  void execute(const Tuple& input, Collector& out) override {
+  void execute(Tuple&& input, Collector& out) override {
     if (std::holds_alternative<std::string>(input.at(0))) {
       ++markers_;
     } else {
       ++regular_;
     }
-    out.emit(input);
+    out.emit(std::move(input));
   }
   void tick(common::Timestamp /*now*/, Collector& out) override {
     out.emit(Tuple{{tag_, regular_, markers_}});

@@ -6,6 +6,7 @@
 #include <set>
 
 #include "stream/bolts.hpp"
+#include "stream/executor.hpp"
 #include "test_util.hpp"
 
 namespace netalytics::stream {
@@ -37,9 +38,9 @@ class TaskTagBolt final : public Bolt {
     std::lock_guard lock(mutex);
     tag_ = next_tag++;
   }
-  void execute(const Tuple& input, Collector&) override {
+  void execute(Tuple&& input, Collector&) override {
     std::lock_guard lock(mutex);
-    seen[tag_].push_back(input);
+    seen[tag_].push_back(std::move(input));
   }
 
  private:
@@ -171,6 +172,63 @@ TEST(SteppedTopology, SpoutBudgetLimitsPerStep) {
   EXPECT_EQ(results.size(), 3u);
   topo.step(0, 3);
   EXPECT_EQ(results.size(), 6u);
+}
+
+/// Emits one tuple whose string is too long for the small-string buffer,
+/// and records where that string's heap bytes live.
+class LongStringSpout final : public Spout {
+ public:
+  explicit LongStringSpout(const char** emitted) : emitted_(emitted) {}
+  bool next_tuple(Collector& out, common::Timestamp /*now*/) override {
+    if (done_) return false;
+    done_ = true;
+    Tuple t;
+    t.values.emplace_back(std::string(256, 'x'));
+    *emitted_ = as_str(t.at(0)).data();
+    out.emit(std::move(t));
+    return true;
+  }
+
+ private:
+  const char** emitted_;
+  bool done_ = false;
+};
+
+TEST(TupleOwnership, ForwardingBoltsMoveTheirInput) {
+  // Bolt::execute owns its input: a tuple that passes a filter on its way
+  // to the sink is moved at every hop, so the sink sees the very string
+  // buffer the spout allocated. A copy anywhere on the way (a filter that
+  // emits `input` instead of moving it) gives the sink a new buffer.
+  for (const ExecutorMode mode : {ExecutorMode::stepped, ExecutorMode::free_running}) {
+    SCOPED_TRACE(to_string(mode));
+    const char* emitted = nullptr;
+    const char* seen = nullptr;
+    std::size_t delivered = 0;
+    TopologyBuilder b("move");
+    b.set_spout("s", [&emitted] { return std::make_unique<LongStringSpout>(&emitted); },
+                {"s"});
+    b.set_bolt("filter",
+               [] {
+                 return std::make_unique<FilterBolt>([](const Tuple&) { return true; });
+               },
+               {"s"})
+        .shuffle_grouping("s");
+    b.set_bolt("sink",
+               [&seen, &delivered] {
+                 return std::make_unique<SinkBolt>([&seen, &delivered](Tuple&& t) {
+                   seen = as_str(t.at(0)).data();
+                   ++delivered;
+                 });
+               },
+               {})
+        .shuffle_grouping("filter");
+    const auto exec = make_executor(b.build(), ExecutorConfig{.mode = mode});
+    exec->run_until_idle(0);
+    exec->close(0);
+    ASSERT_EQ(delivered, 1u);
+    ASSERT_NE(emitted, nullptr);
+    EXPECT_EQ(seen, emitted);
+  }
 }
 
 }  // namespace

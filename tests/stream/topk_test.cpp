@@ -46,7 +46,7 @@ TEST(RankingsBolts, LocalThenGlobalTopK) {
   local.tick(0, local_out);
   ASSERT_EQ(local_out.tuples.size(), 2u);  // top-2 only
 
-  for (const auto& t : local_out.tuples) total.execute(t, total_out);
+  for (auto& t : local_out.tuples) total.execute(std::move(t), total_out);
   total.tick(0, total_out);
   ASSERT_EQ(total_out.tuples.size(), 2u);
   EXPECT_EQ(as_u64(total_out.tuples[0].at(0)), 1u);  // rank

@@ -15,7 +15,9 @@ SpoutFactory dummy_spout() {
 
 class PassBolt final : public Bolt {
  public:
-  void execute(const Tuple& input, Collector& out) override { out.emit(input); }
+  void execute(Tuple&& input, Collector& out) override {
+    out.emit(std::move(input));
+  }
 };
 
 BoltFactory dummy_bolt() {
