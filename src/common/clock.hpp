@@ -31,8 +31,7 @@ constexpr Duration from_millis(double ms) noexcept {
 }
 
 /// Monotonic wall clock in nanoseconds. Only instrumentation reads it (the
-/// threaded monitor's parse-time histogram, the executor stage profiler);
-/// virtual-time paths never do.
+/// opt-in executor stage profiler); virtual-time paths never do.
 inline Timestamp wall_now_ns() noexcept {
   return static_cast<Timestamp>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(

@@ -1,8 +1,7 @@
 // Bounded multi-producer/multi-consumer queue with blocking and
-// non-blocking operations. Used off the packet hot path: stream-engine task
-// inboxes, broker hand-off, control messages. Mutex-based by design — the
-// lock-free structure is reserved for the SPSC packet rings where it is an
-// evaluated claim (see bench_ablation_rings).
+// non-blocking operations. Used off the packet hot path: the free-running
+// executor's task inboxes. Mutex-based by design; nothing that uses it has
+// shown a lock-free structure to pay off.
 #pragma once
 
 #include <condition_variable>

@@ -135,7 +135,6 @@ std::string_view drop_cause_name(DropCause c) noexcept {
     case DropCause::ingest_ring_overflow: return "ingest.ring_overflow";
     case DropCause::ingest_decode_error: return "ingest.decode_error";
     case DropCause::sample_rejected: return "sample.rejected";
-    case DropCause::parse_worker_overflow: return "parse.worker_overflow";
     case DropCause::parse_error: return "parse.error";
     case DropCause::parse_no_output: return "parse.no_output";
     case DropCause::produce_buffer_overflow: return "produce.buffer_overflow";

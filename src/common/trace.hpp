@@ -1,5 +1,5 @@
 // Trace provenance & drop accounting (see DESIGN.md): the answer to "a
-// packet entered at the NIC ring — did it become a result tuple, and if
+// packet entered a monitor — did it become a result tuple, and if
 // not, which stage dropped it and why?". Two complementary mechanisms:
 //
 //  * TraceRecorder — a sampled flight recorder. A deterministic 1/N of
@@ -127,10 +127,9 @@ class TraceRecorder {
 /// retries, a window eviction happens after aggregation consumed the data)
 /// that the ledger still surfaces for operators.
 enum class DropCause : std::uint8_t {
-  ingest_ring_overflow,      // RX ring full (packets)
+  ingest_ring_overflow,      // monitor ingress full (packets)
   ingest_decode_error,       // frame failed to decode (packets)
   sample_rejected,           // flow sampler dropped it (packets)
-  parse_worker_overflow,     // worker ring full (packet-dispatches)
   parse_error,               // parser threw (packet-dispatches)
   parse_no_output,           // parsed fine, emitted no record (packet-dispatches)
   produce_buffer_overflow,   // producer send-buffer full (records)
@@ -139,7 +138,7 @@ enum class DropCause : std::uint8_t {
   consume_poll_failure,      // spout poll failed; data retries (events)
   stream_window_eviction,    // windowed bolt shed state (entries)
 };
-inline constexpr std::size_t kDropCauseCount = 11;
+inline constexpr std::size_t kDropCauseCount = 10;
 /// "<stage>.<cause>", e.g. "ingest.ring_overflow".
 std::string_view drop_cause_name(DropCause c) noexcept;
 /// True for causes that appear in the reconciliation conservation sum.

@@ -174,7 +174,6 @@ nf::MonitorStats QueryHandle::monitor_stats() const {
     else if (leaf == "decode_failed") total.decode_failed += v;
     else if (leaf == "sampled_out") total.sampled_out += v;
     else if (leaf == "dispatched") total.dispatched += v;
-    else if (leaf == "worker_dropped") total.worker_dropped += v;
     else if (leaf == "parsed") total.parsed += v;
     else if (leaf == "records") total.records += v;
     else if (leaf == "record_bytes") total.record_bytes += v;

@@ -13,11 +13,10 @@
 
 namespace netalytics::mq {
 
-/// Immutable, refcounted payload buffer — the mq analogue of a
-/// net::PacketPool descriptor. A Payload is created once (adopting the
-/// producer's serialized batch without copying it) and then shared by
-/// reference: the broker's log, every fetch result and every retry buffer
-/// entry hold the same bytes, so the consume path never deep-copies.
+/// Immutable, refcounted payload buffer. A Payload is created once
+/// (adopting the producer's serialized batch without copying it) and then
+/// shared by reference: the broker's log, every fetch result and every retry
+/// buffer entry hold the same bytes, so the consume path never deep-copies.
 class Payload {
  public:
   Payload() = default;

@@ -2,13 +2,11 @@
 // parsers and SDN match logic consume. A DecodedPacket is the packet's
 // metadata, like a DPDK mbuf's parsed header fields: a frame is decoded
 // once where it enters the system and the same DecodedPacket rides with it
-// to every consumer. There are three ingress sites and no others:
+// to every consumer. There are two ingress sites and no others:
 //   * core::Emulation::transmit — fabric ingress; switch match, mirror
 //     ports and the monitor's fabric entry all read its decode;
 //   * nf::Monitor::process(frame, ts) — the monitor's raw-bytes ingress
-//     (replay, standalone use);
-//   * nf::Monitor::collector_loop — the NIC ingress behind threaded-mode
-//     inject().
+//     (replay, standalone use).
 #pragma once
 
 #include <optional>

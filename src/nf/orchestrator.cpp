@@ -21,16 +21,12 @@ Monitor* NfvOrchestrator::find(const std::string& id) noexcept {
 bool NfvOrchestrator::undeploy(const std::string& id) {
   const auto it = monitors_.find(id);
   if (it == monitors_.end()) return false;
-  if (it->second.monitor->running()) it->second.monitor->stop();
   common::log_info("nfv", "undeploying monitor ", id);
   monitors_.erase(it);
   return true;
 }
 
 void NfvOrchestrator::undeploy_all() {
-  for (auto& [id, entry] : monitors_) {
-    if (entry.monitor->running()) entry.monitor->stop();
-  }
   monitors_.clear();
 }
 

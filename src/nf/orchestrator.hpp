@@ -24,13 +24,13 @@ class NfvOrchestrator {
   /// Instantiate a monitor on `host`; returns its id ("mon-<n>@<host>").
   std::string deploy(const std::string& host, MonitorConfig config, BatchSink sink);
 
-  /// Look up a running monitor; nullptr if unknown.
+  /// Look up a deployed monitor; nullptr if unknown.
   Monitor* find(const std::string& id) noexcept;
 
-  /// Stop and destroy a monitor. Returns false if unknown.
+  /// Destroy a monitor. Returns false if unknown.
   bool undeploy(const std::string& id);
 
-  /// Stop and destroy everything (end of query / shutdown).
+  /// Destroy every monitor (end of query / shutdown).
   void undeploy_all();
 
   std::vector<MonitorInfo> list() const;

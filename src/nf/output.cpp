@@ -7,7 +7,7 @@ OutputInterface::OutputInterface(BatchSink sink, std::size_t batch_records)
       batch_records_(batch_records == 0 ? 1 : batch_records) {}
 
 void OutputInterface::emit(Record record) {
-  emitted_.fetch_add(1, std::memory_order_relaxed);
+  ++emitted_;
   if (record.trace == 0) record.trace = current_trace_;
   auto [it, inserted] = pending_.try_emplace(record.topic);
   (void)inserted;

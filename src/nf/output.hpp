@@ -6,7 +6,6 @@
 // them in batches", §3.1).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -28,21 +27,21 @@ namespace netalytics::nf {
 /// for the duration of the sink call.
 struct BatchInfo {
   std::size_t records = 0;
-  /// Virtual ship time; 0 = unknown (threaded mode).
+  /// Virtual ship time; 0 = unknown (a flush() without a time).
   common::Timestamp ship_time = 0;
   std::span<const std::uint64_t> traces;
 };
 
 /// Downstream of the monitor: the core layer wires this to an mq producer.
-/// Must be callable from multiple worker threads. The topic view is only
+/// The monitor calls it on its caller's thread. The topic view is only
 /// valid for the duration of the call.
 using BatchSink = std::function<void(std::string_view topic,
                                      std::vector<std::byte> payload,
                                      const BatchInfo& info)>;
 
-/// Per-worker batching stage. emit()/flush() are single-threaded (each
-/// worker owns one instance); shipped records, bytes and batches are
-/// counted in the registry counters bind_counters() hands in.
+/// Per-parser-instance batching stage (each parser instance owns one);
+/// shipped records, bytes and batches are counted in the registry counters
+/// bind_counters() hands in.
 class OutputInterface final : public RecordSink {
  public:
   OutputInterface(BatchSink sink, std::size_t batch_records = 64);
@@ -50,8 +49,8 @@ class OutputInterface final : public RecordSink {
   void emit(Record record) override;
 
   /// Ship all partially-filled batches. `now` (virtual time) stamps the
-  /// emit-stage latency of the shipped records; 0 means "time unknown"
-  /// (threaded paths), which skips the stamp.
+  /// emit-stage latency of the shipped records; 0 means "time unknown",
+  /// which skips the stamp.
   void flush(common::Timestamp now = 0);
 
   /// Route batching-delay stamps into `tracer` (emit stage). The tracer
@@ -72,8 +71,8 @@ class OutputInterface final : public RecordSink {
   }
 
   /// Mirror ship() accounting into registry counters that outlive this
-  /// interface (all workers of a monitor share the same three). Null
-  /// pointers are allowed and skipped.
+  /// interface (all parser instances of a monitor share the same three).
+  /// Null pointers are allowed and skipped.
   void bind_counters(common::Counter* records, common::Counter* bytes,
                      common::Counter* batches) noexcept {
     records_ctr_ = records;
@@ -84,9 +83,7 @@ class OutputInterface final : public RecordSink {
   /// Records emitted so far, including ones still pending in open batches
   /// (the bound records counter lags this by the pending count: it counts
   /// at ship()).
-  std::uint64_t emitted() const noexcept {
-    return emitted_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t emitted() const noexcept { return emitted_; }
 
  private:
   void ship(std::string_view topic, std::vector<Record>& batch,
@@ -102,7 +99,7 @@ class OutputInterface final : public RecordSink {
   common::Counter* batches_ctr_ = nullptr;
   std::size_t batch_records_;
   std::map<std::string, std::vector<Record>, std::less<>> pending_;
-  std::atomic<std::uint64_t> emitted_{0};
+  std::uint64_t emitted_ = 0;
 };
 
 }  // namespace netalytics::nf

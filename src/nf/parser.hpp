@@ -24,9 +24,9 @@ class RecordSink {
   virtual void emit(Record record) = 0;
 };
 
-/// A protocol parser. One instance runs per worker thread; flow-id dispatch
-/// guarantees all packets of a flow reach the same instance, so per-flow
-/// state needs no synchronization.
+/// A protocol parser. A monitor runs one or more instances per parser;
+/// flow-id dispatch guarantees all packets of a flow reach the same
+/// instance, so per-flow state never splits.
 class PacketParser {
  public:
   virtual ~PacketParser() = default;

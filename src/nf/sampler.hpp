@@ -1,11 +1,9 @@
 // Flow-hash sampling (§3.3): "a sampling rate to apply at the monitor can
 // be specified, which is enforced by hashing each packet's n-tuple to do
-// sampling by flow, not packet". The rate is an atomic so the
-// feedback-driven sampling loop (§4.2) can adjust it while the collector
-// thread runs.
+// sampling by flow, not packet". The feedback-driven sampling loop (§4.2)
+// adjusts the rate between packets, on the monitor's own thread.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 
 namespace netalytics::nf {
@@ -20,27 +18,25 @@ class FlowSampler {
   /// Keep a packet iff its (bidirectional) flow hash falls under the rate
   /// threshold — all packets of a flow share the same fate.
   bool keep(std::uint64_t flow_hash) const noexcept {
-    const std::uint64_t t = threshold_.load(std::memory_order_relaxed);
+    const std::uint64_t t = threshold_;
     if (t == ~std::uint64_t{0}) return true;  // sampling disabled
     // Re-mix with the sampler seed so the decision is independent of any
-    // other use of the flow hash (e.g. worker dispatch).
+    // other use of the flow hash (e.g. parser-instance dispatch).
     return common_mix(flow_hash ^ seed_) <= t;
   }
 
   void set_rate(double rate) noexcept {
     if (rate >= 1.0) {
-      threshold_.store(~std::uint64_t{0}, std::memory_order_relaxed);
+      threshold_ = ~std::uint64_t{0};
     } else if (rate <= 0.0) {
-      threshold_.store(0, std::memory_order_relaxed);
+      threshold_ = 0;
     } else {
-      threshold_.store(
-          static_cast<std::uint64_t>(rate * 18446744073709551615.0),
-          std::memory_order_relaxed);
+      threshold_ = static_cast<std::uint64_t>(rate * 18446744073709551615.0);
     }
   }
 
   double rate() const noexcept {
-    const std::uint64_t t = threshold_.load(std::memory_order_relaxed);
+    const std::uint64_t t = threshold_;
     if (t == ~std::uint64_t{0}) return 1.0;
     return static_cast<double>(t) / 18446744073709551615.0;
   }
@@ -63,7 +59,7 @@ class FlowSampler {
     return x;
   }
 
-  std::atomic<std::uint64_t> threshold_{~std::uint64_t{0}};
+  std::uint64_t threshold_ = ~std::uint64_t{0};
   const std::uint64_t seed_;
 };
 

@@ -8,7 +8,6 @@
 #include "core/netalytics.hpp"
 #include "parsers/parsers.hpp"
 #include "pktgen/builder.hpp"
-#include "pktgen/generator.hpp"
 #include "pktgen/payloads.hpp"
 #include "pktgen/session.hpp"
 
@@ -179,36 +178,6 @@ TEST_F(PipelineIntegrationTest, PktSizeGroupSumMatchesPayloadBytes) {
   }
   EXPECT_DOUBLE_EQ(fwd, 1000.0);  // exact payload byte accounting
   EXPECT_DOUBLE_EQ(rev, 7000.0);
-}
-
-TEST_F(PipelineIntegrationTest, MonitorPoolDropsAreCountedNotFatal) {
-  // Inject through the threaded path with a starved pool: drops must be
-  // visible in stats and everything still shuts down cleanly.
-  parsers::register_builtin_parsers();
-  nf::MonitorConfig mcfg;
-  mcfg.parsers = {{"http_get", 1}};
-  mcfg.rx_ring_capacity = 8;
-  nf::Monitor monitor(mcfg,
-                      [](std::string_view, std::vector<std::byte>, const nf::BatchInfo&) {});
-  net::PacketPool pool(4);
-  pktgen::GeneratorConfig gcfg;
-  gcfg.kind = pktgen::TrafficKind::http_get;
-  pktgen::TrafficGenerator gen(gcfg);
-
-  int pool_dry = 0;
-  for (int i = 0; i < 1000; ++i) {
-    auto pkt = pool.make_packet(gen.next_frame(), i);
-    if (!pkt) {
-      ++pool_dry;
-      continue;
-    }
-    monitor.inject(std::move(pkt));  // not started: ring fills, then drops
-  }
-  EXPECT_GT(monitor.stats().rx_dropped + pool_dry, 0u);
-  EXPECT_EQ(pool.allocation_failures(), static_cast<std::uint64_t>(pool_dry));
-  monitor.start();
-  monitor.stop();  // drains the ring without losing buffers
-  EXPECT_EQ(pool.available(), pool.capacity());
 }
 
 }  // namespace

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <mutex>
-
 #include "parsers/parsers.hpp"
 #include "pktgen/builder.hpp"
 #include "pktgen/generator.hpp"
@@ -16,21 +14,18 @@ class MonitorTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() { parsers::register_builtin_parsers(); }
 
-  struct SharedCapture {
-    std::mutex mutex;
+  struct Capture {
     std::vector<Record> records;
     BatchSink sink() {
       return [this](std::string_view, std::vector<std::byte> payload, const BatchInfo&) {
-        auto recs = deserialize_batch(payload);
-        std::lock_guard lock(mutex);
-        for (auto& r : recs) records.push_back(std::move(r));
+        for (auto& r : deserialize_batch(payload)) records.push_back(std::move(r));
       };
     }
   };
 };
 
 TEST_F(MonitorTest, InlineModeParsesHttpGet) {
-  SharedCapture cap;
+  Capture cap;
   MonitorConfig cfg;
   cfg.parsers = {{"http_get", 1}};
   cfg.output_batch_records = 1;
@@ -53,7 +48,7 @@ TEST_F(MonitorTest, InlineModeParsesHttpGet) {
 }
 
 TEST_F(MonitorTest, MultipleParsersSeeSamePacket) {
-  SharedCapture cap;
+  Capture cap;
   MonitorConfig cfg;
   cfg.parsers = {{"tcp_flow_key", 1}, {"tcp_pkt_size", 1}};
   cfg.output_batch_records = 1;
@@ -75,7 +70,7 @@ TEST_F(MonitorTest, MultipleParsersSeeSamePacket) {
 }
 
 TEST_F(MonitorTest, SamplingDropsFlowsNotPackets) {
-  SharedCapture cap;
+  Capture cap;
   MonitorConfig cfg;
   cfg.parsers = {{"tcp_flow_key", 1}};
   cfg.sample_rate = 0.5;
@@ -104,68 +99,22 @@ TEST_F(MonitorTest, SamplingDropsFlowsNotPackets) {
   EXPECT_LT(cap.records.size(), 150u);
 }
 
-TEST_F(MonitorTest, ThreadedModeProcessesInjectedPackets) {
-  SharedCapture cap;
-  MonitorConfig cfg;
-  cfg.parsers = {{"http_get", 2}};  // exercise multi-worker dispatch
-  cfg.output_batch_records = 8;
-  Monitor mon(cfg, cap.sink());
-
-  net::PacketPool pool(4096);
-  pktgen::GeneratorConfig gcfg;
-  gcfg.kind = pktgen::TrafficKind::http_get;
-  gcfg.flow_count = 64;
-  gcfg.frame_size = 256;
-  pktgen::TrafficGenerator gen(gcfg);
-
-  mon.start();
-  constexpr int kPackets = 5000;
-  int offered = 0;
-  int injected = 0;
-  for (int i = 0; i < kPackets; ++i) {
-    auto pkt = pool.make_packet(gen.next_frame(), i);
-    if (!pkt) continue;  // pool dry: consumer slower than producer
-    ++offered;
-    injected += mon.inject(std::move(pkt));
-  }
-  mon.stop();
-
-  const auto stats = mon.stats();
-  EXPECT_EQ(stats.rx_packets, static_cast<std::uint64_t>(offered));
-  EXPECT_GT(offered, 1000);
-  EXPECT_EQ(stats.parsed + stats.worker_dropped,
-            static_cast<std::uint64_t>(injected));
-  // Every parsed packet was an HTTP GET -> one record each.
-  std::lock_guard lock(cap.mutex);
-  EXPECT_EQ(cap.records.size(), stats.records);
-  EXPECT_EQ(stats.records, stats.parsed);
-  // All pool buffers returned (no refcount leaks).
-  EXPECT_EQ(pool.available(), pool.capacity());
-}
-
-TEST_F(MonitorTest, ThreadedStopFlushesAggregatingParsers) {
-  SharedCapture cap;
+TEST_F(MonitorTest, CloseFlushesAggregatingParsers) {
+  Capture cap;
   MonitorConfig cfg;
   cfg.parsers = {{"tcp_pkt_size", 1}};
   cfg.output_batch_records = 1024;  // force flush-at-close path
   Monitor mon(cfg, cap.sink());
 
-  net::PacketPool pool(256);
   pktgen::TcpFrameSpec spec;
   spec.flow = {net::make_ipv4(10, 0, 0, 1), net::make_ipv4(10, 0, 0, 2), 9999, 80,
                6};
   spec.pad_to_frame_size = 200;
   const auto frame = pktgen::build_tcp_frame(spec);
 
-  mon.start();
-  for (int i = 0; i < 50; ++i) {
-    auto pkt = pool.make_packet(frame, i);
-    ASSERT_TRUE(pkt);
-    while (!mon.inject(pkt)) {}
-  }
-  mon.stop();
+  for (int i = 0; i < 50; ++i) mon.process(frame, i + 1);
+  mon.close(100);
 
-  std::lock_guard lock(cap.mutex);
   ASSERT_GE(cap.records.size(), 1u);
   std::uint64_t total_packets = 0;
   for (const auto& r : cap.records) {
@@ -179,7 +128,7 @@ TEST_F(MonitorTest, FlowAffinityAcrossWorkersKeepsStatefulParsersCorrect) {
   // With multiple workers, a connection's two directions must land on the
   // same parser instance (flow-id dispatch, §5.2) — otherwise the MySQL
   // parser would never pair queries with their responses.
-  SharedCapture cap;
+  Capture cap;
   MonitorConfig cfg;
   cfg.parsers = {{"mysql_query", 4}};
   cfg.output_batch_records = 1;
@@ -222,7 +171,7 @@ TEST_F(MonitorTest, BackpressureHalvesSampleRate) {
 }
 
 TEST_F(MonitorTest, StatsCountRawAndRecordBytes) {
-  SharedCapture cap;
+  Capture cap;
   MonitorConfig cfg;
   cfg.parsers = {{"http_get", 1}};
   cfg.output_batch_records = 1;

@@ -13,7 +13,7 @@
 #   asan   NETALYTICS_SANITIZE=address, i.e. the `cmake --preset asan`
 #          configuration, full suite under ASan+UBSan-style checks
 #   tsan   delegates to tests/run_tsan.sh (`cmake --preset tsan` equivalent:
-#          the threaded mq/nf suites and the parallel stepped-executor
+#          the threaded mq suites and the parallel stepped-executor
 #          differential suites under ThreadSanitizer)
 #   docs   delegates to tests/check_docs.sh (README/DESIGN/docs references
 #          must point at files and targets that exist)

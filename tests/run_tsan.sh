@@ -1,9 +1,9 @@
 #!/usr/bin/env sh
 # ThreadSanitizer lane: build with NETALYTICS_SANITIZE=thread and run the
 # suites that exercise real threads against the sharded broker (concurrent
-# producers/consumers, producer retry under chaos, monitor worker pools)
-# and both topology executors: the parallel stepped executor (stage
-# barrier, worker-pool claims, the determinism differentials of
+# producers/consumers, producer retry under chaos) and both topology
+# executors: the parallel stepped executor (stage barrier, worker-pool
+# claims, the determinism differentials of
 # docs/DETERMINISM.md) and the free-running executor (work-stealing
 # claims, MPMC inboxes, help-on-full backpressure, the relaxed-mode
 # multiset differentials), plus the consumer-group rebalance
@@ -25,7 +25,7 @@ build_dir="$repo_root/build-tsan"
 cmake -B "$build_dir" -S "$repo_root" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DNETALYTICS_SANITIZE=thread
-cmake --build "$build_dir" -j "$(nproc)" --target mq_test nf_test stream_test core_test tsdb_test obs_test fed_test
+cmake --build "$build_dir" -j "$(nproc)" --target mq_test stream_test core_test tsdb_test obs_test fed_test
 
 export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1${TSAN_OPTIONS:+ $TSAN_OPTIONS}"
 
@@ -33,5 +33,5 @@ if [ "$#" -gt 0 ]; then
   ctest --test-dir "$build_dir" --output-on-failure "$@"
 else
   ctest --test-dir "$build_dir" --output-on-failure \
-    -R 'ConcurrentBroker|MqChaos|ProducerBatch|Producer|Monitor|ParallelStepped|ParallelExecutor|FreeRunning|GroupRebalance|TieredStore|ObsProfiler|ObsExportIntegration|FedWire|FedLink|Federation'
+    -R 'ConcurrentBroker|MqChaos|ProducerBatch|Producer|ParallelStepped|ParallelExecutor|FreeRunning|GroupRebalance|TieredStore|ObsProfiler|ObsExportIntegration|FedWire|FedLink|Federation'
 fi
